@@ -207,17 +207,22 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
 
     shell_d = sum over |tau| = d of
         (c_tau / c'_tau) P_tau(x) P_tau(y) / ((N/alpha)_tau [(b)_tau]).
-    The tau sum is collapsed to monomial coefficients in y once per shell.
+    Each shell makes one pass on each side: m_mu(x) is evaluated once per
+    partition mu of d, every P_tau(x) is formed from those values, and the
+    tau sum is collapsed to monomial coefficients in y, each m_mu(y)
+    evaluated once.  x is a single point.
     """
     alpha, n, b = params.alpha, params.n_vars, params.b
     x = np.asarray(x, dtype=float)
     ybatch = np.asarray(ybatch, dtype=float)
     shells = np.zeros((params.max_degree + 1,) + ybatch.shape[:-1])
     for d in range(params.max_degree + 1):
+        taus = partitions_of(d, n)
+        m_x = {mu: symfunc.monomial_eval(mu, x) for mu in taus}
         mu_coeffs: dict = {}
-        for tau in partitions_of(d, n):
+        for tau in taus:
             jack = jack_coeffs(tau, alpha, n)
-            p_x = sum(c * symfunc.monomial_eval(mu, x) for mu, c in jack.coeffs.items())
+            p_x = sum(c * m_x[mu] for mu, c in jack.coeffs.items())
             w = hook_c(tau, alpha) / hook_c_prime(tau, alpha)
             w /= gen_pochhammer(n / alpha, tau, alpha)
             if b is not None:
@@ -244,6 +249,18 @@ def hyper_series(params: HyperSeriesParams, x, y):
     return float(shells.sum()), float(abs(shells[-1]))
 
 
+def _kernel_shells(cfg: RootSystemConfig, x, y, max_degree: int):
+    """(group-order prefactor, series shells) of bessel_kernel(cfg, x, y)."""
+    alpha = 2.0 / cfg.beta
+    if cfg.kind == TYPE_A:
+        params = HyperSeriesParams(alpha=alpha, n_vars=cfg.n, max_degree=max_degree)
+        return math.factorial(cfg.n), _series_shells(params, x, y)
+    params = HyperSeriesParams(
+        alpha=alpha, n_vars=cfg.n, max_degree=max_degree, b=_bessel_b_param(cfg)
+    )
+    return 2**cfg.n * math.factorial(cfg.n), _series_shells(params, x * x / 2.0, y * y / 2.0)
+
+
 def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
     """Reflection-symmetrized exponential kernel, including the group-order
     prefactor.
@@ -253,17 +270,8 @@ def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    alpha = 2.0 / cfg.beta
-    if cfg.kind == TYPE_A:
-        params = HyperSeriesParams(alpha=alpha, n_vars=cfg.n, max_degree=max_degree)
-        shells = _series_shells(params, x, y)
-        out = math.factorial(cfg.n) * shells.sum(axis=0)
-    else:
-        params = HyperSeriesParams(
-            alpha=alpha, n_vars=cfg.n, max_degree=max_degree, b=_bessel_b_param(cfg)
-        )
-        shells = _series_shells(params, x * x / 2.0, y * y / 2.0)
-        out = 2**cfg.n * math.factorial(cfg.n) * shells.sum(axis=0)
+    pref, shells = _kernel_shells(cfg, x, y, max_degree)
+    out = pref * shells.sum(axis=0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -321,17 +329,9 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
         raise ValueError("t > 0 required")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    alpha = 2.0 / cfg.beta
-    if cfg.kind == TYPE_A:
-        params = HyperSeriesParams(alpha=alpha, n_vars=cfg.n, max_degree=max_degree)
-        shells = _series_shells(params, x, y / t)
-        kern = math.factorial(cfg.n) * float(shells.sum())
-    else:
-        params = HyperSeriesParams(alpha=alpha, n_vars=cfg.n,
-                                   max_degree=max_degree, b=_bessel_b_param(cfg))
-        shells = _series_shells(params, x * x / 2.0, (y / t) ** 2 / 2.0)
-        kern = 2**cfg.n * math.factorial(cfg.n) * float(shells.sum())
+    pref, shells = _kernel_shells(cfg, x, y / t, max_degree)
     total = float(shells.sum())
+    kern = pref * total
     # truncation diagnostic: relative size of the top degree shell
     ratio = abs(float(shells[-1])) / max(abs(total), np.finfo(float).tiny)
     value = (

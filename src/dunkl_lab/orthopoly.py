@@ -26,54 +26,106 @@ class PolyZeros:
     zeros: np.ndarray
 
 
+def _hermite_scaled(n: int, x):
+    """(h, h_prev, logscale) with H_n(x) = h e^logscale and
+    H_{n-1}(x) = h_prev e^logscale, by the recurrence with periodic rescaling.
+
+    The common factor keeps the recurrence finite at large n; the ratio
+    H_n / H_{n-1} needs no rescaling back.
+    """
+    x = np.asarray(x, dtype=float)
+    h_prev = np.zeros_like(x)  # H_{-1} := 0
+    h = np.ones_like(x)
+    logscale = np.zeros_like(x)
+    for k in range(n):
+        h_prev, h = h, 2 * x * h - 2 * k * h_prev
+        big = np.abs(h) > 1e120
+        if np.any(big):
+            factor = np.where(big, np.abs(h), 1.0)
+            h = h / factor
+            h_prev = h_prev / factor
+            logscale = logscale + np.log(factor)
+    return h, h_prev, logscale
+
+
 def hermite_eval(n: int, x):
     """Physicists' Hermite H_n: returns (value, derivative).
 
     Three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1}; H_n' = 2n H_{n-1}.
     """
     x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)  # H_{-1} := 0
-    h = np.ones_like(x)
-    for k in range(n):
-        h_prev, h = h, 2 * x * h - 2 * k * h_prev
-    # after the loop h = H_n, h_prev = H_{n-1}
-    deriv = 2 * n * h_prev if n > 0 else np.zeros_like(x)
+    h, h_prev, logscale = _hermite_scaled(n, x)
+    scale = np.exp(logscale)
+    value = h * scale
+    deriv = 2 * n * h_prev * scale
     if x.ndim == 0:
-        return float(h), float(deriv)
-    return h, deriv
+        return float(value), float(deriv)
+    return value, deriv
 
 
-def laguerre_eval(n: int, alpha: float, x):
-    """Associated Laguerre L_n^(alpha): returns (value, derivative).
+def _laguerre_scaled(n: int, alpha: float, x):
+    """(l, d, logscale) with L_n^(alpha)(x) = l e^logscale and its
+    x-derivative d e^logscale.
 
-    Recurrence (k+1) L_{k+1} = (2k+alpha+1-x) L_k - (k+alpha) L_{k-1}.
-    The derivative uses d/dx L_n^(a) = -L_{n-1}^(a+1), which is exact at
-    x = 0 as well (the quotient relation x L' = n L - (n+a) L_{n-1} is not).
+    Recurrence (k+1) L_{k+1} = (2k+alpha+1-x) L_k - (k+alpha) L_{k-1}, and
+    its x-derivative (k+1) L'_{k+1} = (2k+alpha+1-x) L'_k - L_k
+    - (k+alpha) L'_{k-1} carried alongside, with periodic rescaling: O(n),
+    finite where L_n overflows, and exact at x = 0 (the quotient relation
+    x L' = n L - (n+a) L_{n-1} is not).
     """
     x = np.asarray(x, dtype=float)
     l_prev = np.zeros_like(x)
     l = np.ones_like(x)
+    d_prev = np.zeros_like(x)
+    d = np.zeros_like(x)
+    logscale = np.zeros_like(x)
     for k in range(n):
-        l_prev, l = l, ((2 * k + alpha + 1 - x) * l - (k + alpha) * l_prev) / (k + 1)
-    if n > 0:
-        dm, _ = laguerre_eval(n - 1, alpha + 1, x)
-        deriv = -np.asarray(dm)
-    else:
-        deriv = np.zeros_like(x)
+        c = 2 * k + alpha + 1 - x
+        l_prev, l, d_prev, d = (
+            l,
+            (c * l - (k + alpha) * l_prev) / (k + 1),
+            d,
+            (c * d - l - (k + alpha) * d_prev) / (k + 1),
+        )
+        size = np.maximum(np.abs(l), np.abs(d))
+        big = size > 1e120
+        if np.any(big):
+            factor = np.where(big, size, 1.0)
+            l, l_prev, d, d_prev = l / factor, l_prev / factor, d / factor, d_prev / factor
+            logscale = logscale + np.log(factor)
+    return l, d, logscale
+
+
+def laguerre_eval(n: int, alpha: float, x):
+    """Associated Laguerre L_n^(alpha): returns (value, derivative)."""
+    x = np.asarray(x, dtype=float)
+    l, d, logscale = _laguerre_scaled(n, alpha, x)
+    scale = np.exp(logscale)
+    value, deriv = l * scale, d * scale
     if x.ndim == 0:
-        return float(l), float(deriv)
-    return l, deriv
+        return float(value), float(deriv)
+    return value, deriv
 
 
 def _polish(f, z):
-    """Vectorized Newton polish; f(z) -> (value, derivative)."""
-    for _ in range(4):
+    """Vectorized Newton polish; f(z) -> (value, derivative).
+
+    Only the ratio value/derivative and their relative size are used, so f
+    may return both scaled by any common positive factor per point.
+    """
+    def finite(z):
         val, der = f(z)
+        if not (np.all(np.isfinite(val)) and np.all(np.isfinite(der))):
+            raise FloatingPointError("zero refinement met a non-finite polynomial value")
+        return val, der
+
+    for _ in range(4):
+        val, der = finite(z)
         step = np.where(der != 0.0, val / np.where(der != 0.0, der, 1.0), 0.0)
         z = z - step
         if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(z))):
             break
-    val, der = f(z)
+    val, der = finite(z)
     if np.any(np.abs(val) > 1e-10 * np.abs(der) * np.maximum(1.0, np.abs(z))):
         raise RuntimeError("zero refinement failed to certify")
     return z
@@ -88,7 +140,12 @@ def hermite_zeros(n: int) -> PolyZeros:
     off = np.sqrt(np.arange(1, n) / 2.0)  # monic recurrence p_{k+1}=x p_k-(k/2)p_{k-1}
     jac = np.diag(off, 1) + np.diag(off, -1)
     guess = np.sort(np.linalg.eigvalsh(jac))
-    zeros = _polish(lambda t: hermite_eval(n, t), guess)
+
+    def scaled(t):
+        h, h_prev, _ = _hermite_scaled(n, t)
+        return h, 2 * n * h_prev
+
+    zeros = _polish(scaled, guess)
     return PolyZeros(HERMITE, n, None, np.sort(zeros))
 
 
@@ -105,24 +162,13 @@ def laguerre_zeros(n: int, alpha: float) -> PolyZeros:
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     guess = np.sort(np.linalg.eigvalsh(jac))
-    zeros = _polish(lambda t: laguerre_eval(n, alpha, t), guess)
+    zeros = _polish(lambda t: _laguerre_scaled(n, alpha, t)[:2], guess)
     return PolyZeros(LAGUERRE, n, alpha, np.sort(zeros))
 
 
 def _hermite_logsign(n, x):
     """(log|H_n(x)|, sign) by the recurrence with periodic rescaling."""
-    x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    logscale = np.zeros_like(x)
-    for k in range(n):
-        h_prev, h = h, 2 * x * h - 2 * k * h_prev
-        big = np.abs(h) > 1e120
-        if np.any(big):
-            factor = np.where(big, np.abs(h), 1.0)
-            h = h / factor
-            h_prev = h_prev / factor
-            logscale = logscale + np.log(factor)
+    h, _, logscale = _hermite_scaled(n, x)
     with np.errstate(divide="ignore"):
         logmag = np.where(h != 0.0, np.log(np.abs(np.where(h != 0, h, 1.0))), -np.inf)
     return logmag + logscale, np.sign(h)

@@ -80,6 +80,12 @@ def partitions_of(weight: int, max_len: int) -> list:
     """All partitions of the weight with at most max_len parts, reverse-lex."""
     if weight < 0:
         raise ValueError("weight >= 0 required")
+    return list(_partitions(weight, max_len))
+
+
+@lru_cache(maxsize=None)
+def _partitions(weight, max_len) -> tuple:
+    """Cached tuple behind partitions_of; weight >= 0."""
     out = []
 
     def rec(remaining, max_part, prefix):
@@ -92,7 +98,7 @@ def partitions_of(weight: int, max_len: int) -> list:
             rec(remaining - p, p, prefix + [p])
 
     rec(weight, weight, [])
-    return out
+    return tuple(out)
 
 
 def multinomial_m(lam: Partition, n_vars: int) -> int:
@@ -128,23 +134,47 @@ def _distinct_perms(lam, n_vars):
     yield from rec(padded)
 
 
+@lru_cache(maxsize=None)
+def _exponents(lam, n_vars):
+    """Distinct exponent vectors of m_lam in n_vars variables, (n_perms, n_vars).
+
+    Read-only: the cache hands the same array to every caller.
+    """
+    out = np.array(list(_distinct_perms(lam, n_vars)), dtype=np.intp).reshape(-1, n_vars)
+    out.flags.writeable = False
+    return out
+
+
 def monomial_eval(lam: Partition, x):
     """m_lambda(x): sum of x^a over distinct permutations a of lambda.
 
     x may be a vector or an array (..., n_vars); vectorized over leading axes.
+    Only the powers x^e for the distinct parts e of lambda are formed, by one
+    chain of products, and each term is a product of gathered columns.
     """
     lam = _check_partition(lam)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if len(lam) > n:
         raise ValueError("partition longer than variable count")
+    if not lam:
+        return 1.0 if x.ndim == 1 else np.ones(x.shape[:-1])
+    cols = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    parts = set(lam)
+    powers = {}
+    p = cols
+    for e in range(1, lam[0] + 1):
+        if e > 1:
+            p = p * cols
+        if e in parts:
+            powers[e] = p
     total = np.zeros(x.shape[:-1])
-    for a in _distinct_perms(lam, n):
-        term = np.ones(x.shape[:-1])
+    for a in _exponents(lam, n).tolist():
+        term = None
         for k, e in enumerate(a):
             if e:
-                term = term * x[..., k] ** e
-        total = total + term
+                term = powers[e][k] if term is None else term * powers[e][k]
+        total += term
     return float(total) if total.ndim == 0 else total
 
 
@@ -248,7 +278,7 @@ def _operator_column(sigma: Partition, n_vars: int):
     t1 = float(sum(p * (p - 1) for p in sigma))
     weight = sum(sigma)
     sig_pad = _pad(sigma, n_vars)
-    targets = [nu for nu in partitions_of(weight, n_vars)]
+    targets = _partitions(weight, n_vars)
     diag_e = 0.0
     off = {}
     sig_sorted = tuple(sorted(sig_pad, reverse=True))
@@ -298,7 +328,7 @@ def jack_coeffs(lam: Partition, alpha: float, n_vars: int) -> SymPoly:
         raise ValueError("partition longer than variable count")
     weight = sum(lam)
     # reverse-lex descending order is a linear extension of dominance
-    chain = [mu for mu in partitions_of(weight, n_vars) if dominance_leq(mu, lam)]
+    chain = [mu for mu in _partitions(weight, n_vars) if dominance_leq(mu, lam)]
 
     def eigen(mu):
         t1, diag_e, _ = _operator_column(mu, n_vars)

@@ -144,6 +144,20 @@ def test_kernel_type_a_beta2_determinant_formula():
     assert bessel_kernel(cfg, x, y) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("beta", [0.7, 2.0, 5.0])
+def test_kernel_type_a_n2_closed_form_any_beta(beta):
+    # rank-one Dunkl kernel: at N=2 the type-A kernel is
+    #   2 e^{(x1+x2)(y1+y2)/2} 0F1(; beta/2 + 1/2; (x1-x2)^2 (y1-y2)^2 / 16)
+    cfg = RootSystemConfig(TYPE_A, 2, beta)
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-0.8, 0.8, 2)
+    ys = rng.uniform(-0.8, 0.8, (64, 2))
+    arg = (x[0] - x[1]) ** 2 * (ys[:, 0] - ys[:, 1]) ** 2 / 16.0
+    expected = 2.0 * np.exp(x.sum() * ys.sum(axis=1) / 2.0) * hyp0f1(beta / 2.0 + 0.5, arg)
+    np.testing.assert_allclose(bessel_kernel(cfg, x, ys, max_degree=40), expected,
+                               rtol=1e-12)
+
+
 def test_kernel_degree_by_degree_expansion():
     # the symmetrized kernel expands as
     #   sum_mu N!/(mu! M(mu,N)) m_mu(y) [V m_mu](x);

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import roots_genlaguerre, roots_hermite
 
 from dunkl_lab.orthopoly import (
+    _polish,
     density_a_exact,
     density_b_exact,
     hermite_eval,
@@ -37,12 +38,14 @@ def test_laguerre_eval_values():
         math.gamma(4 + a) / (math.gamma(1 + a) * math.factorial(3)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12, 25, 40])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 25, 40, 300, 1000])
 def test_hermite_zeros_vs_scipy(n):
     z = hermite_zeros(n).zeros
     ref = roots_hermite(n)[0]
     assert np.max(np.abs(z - ref)) < 1e-10
     assert np.all(np.diff(z) > 0)
+    # sum of squares of the zeros of H_n: n(n-1)/2
+    assert np.sum(z * z) == pytest.approx(n * (n - 1) / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 25])
@@ -52,6 +55,35 @@ def test_laguerre_zeros_vs_scipy(n, alpha):
     ref = roots_genlaguerre(n, alpha)[0]
     assert np.max(np.abs(z - ref) / np.maximum(1.0, ref)) < 1e-10
     assert np.all(z > 0)
+
+
+@pytest.mark.parametrize("alpha", [-0.4, 1.3, 20.0])
+def test_laguerre_zeros_large_n_sum(alpha):
+    # sum of the zeros of L_n^(alpha): n(n+alpha); at n=1000 the polynomial
+    # overflows near its largest zeros, so the polish must work rescaled
+    n = 1000
+    z = laguerre_zeros(n, alpha).zeros
+    assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0) and z[0] > 0
+    assert np.sum(z) == pytest.approx(n * (n + alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0])
+def test_laguerre_derivative_identity(alpha):
+    # d/dx L_n^(a)(x) = -L_{n-1}^(a+1)(x), at x = 0 as well
+    n = 60
+    x = np.concatenate([[0.0], np.linspace(0.1, 200.0, 41)])
+    _, deriv = laguerre_eval(n, alpha, x)
+    ref, _ = laguerre_eval(n - 1, alpha + 1, x)
+    np.testing.assert_allclose(deriv, -ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def test_polish_rejects_non_finite_values():
+    # NaN fails every comparison, so it must not pass the certification
+    def nan_poly(z):
+        return np.full_like(z, np.nan), np.ones_like(z)
+
+    with pytest.raises(FloatingPointError):
+        _polish(nan_poly, np.zeros(3))
 
 
 def test_zero_interlacing():

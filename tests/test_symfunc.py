@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dunkl_lab import symfunc
 from dunkl_lab.symfunc import (
@@ -67,6 +69,34 @@ def test_monomial_eval_hand():
     assert monomial_eval((), x) == pytest.approx(1.0)
     batch = np.array([[2.0, 3.0], [1.0, 1.0]])
     assert np.allclose(monomial_eval((2, 1), batch), [30.0, 2.0])
+
+
+@st.composite
+def _monomial_case(draw):
+    n = draw(st.integers(1, 4))
+    lam = tuple(sorted(draw(st.lists(st.integers(1, 5), max_size=n)), reverse=True))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))  # (), (m,) or (a, b)
+    # magnitudes from 0.01 keep every product out of the subnormal range
+    coord = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+    return lam, draw(arrays(float, lead + (n,), elements=coord))
+
+
+@given(_monomial_case())
+def test_monomial_eval_matches_brute_force(case):
+    # m_lam(x) = sum over the distinct permutations a of lam (zero-padded)
+    # of prod_k x_k^a_k; the tolerance is rel 1e-12 of the summed term
+    # magnitudes, since terms of mixed sign may cancel
+    lam, x = case
+    n = x.shape[-1]
+    perms = set(itertools.permutations(tuple(lam) + (0,) * (n - len(lam))))
+    terms = [np.prod([x[..., k] ** a[k] for k in range(n)], axis=0) for a in perms]
+    ref = np.sum(terms, axis=0)
+    scale = np.sum(np.abs(terms), axis=0)
+    got = monomial_eval(lam, x)
+    assert np.shape(got) == x.shape[:-1]
+    if x.ndim == 1:
+        assert isinstance(got, float)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
 def test_elementary_eval():
