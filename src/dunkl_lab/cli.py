@@ -132,6 +132,8 @@ def cmd_fekete(args) -> int:
         "freezing_constant": report.freezing_constant,
         "identity_residuals": report.identity_residuals,
         "newton_iterations": report.newton_iterations,
+        "newton_decrement": report.newton_decrement,
+        "potential_evaluations": report.potential_evaluations,
         "polynomial_zero_oracle": oracle.tolist(),
         "oracle_max_delta": delta,
         "gamma": gamma(cfg),

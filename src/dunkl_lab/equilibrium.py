@@ -3,17 +3,18 @@ Gaussian large-beta approximation, the stationary Fokker–Planck residual,
 and the gradient identity connecting the potential to the leading
 Calogero–Moser-type term.
 
-The potential for type A is
+Both types share one potential, a sum over the positive roots alpha with
+multiplicity kappa (`rootsys.root_table`):
 
-    F(v) = |v|^2/2 - sum_{i<j} log|v_j - v_i|
+    F(v) = |v|^2/2 - sum_alpha kappa_alpha log|alpha . v|.
 
-and for type B
-
-    F(v) = |v|^2/2 - (2 nu + 1)/2 sum log|v_i| - sum_{i<j} log|v_j^2 - v_i^2|.
-
-Both are strictly convex on the chamber; the unique interior minimizer is
-the Hermite zero set (A) or the elementwise square root of the Laguerre
-zero set with parameter nu - 1/2 (B).
+Type A has the roots e_j - e_i, so F = |v|^2/2 - sum_{i<j} log|v_j - v_i|.
+Type B adds e_j + e_i and the coordinate roots e_j with kappa = nu + 1/2, so
+its pair term -sum_{i<j} log|v_j^2 - v_i^2| splits into the e_j - e_i and
+e_j + e_i roots and F = |v|^2/2 - (2 nu + 1)/2 sum log|v_i| - sum_{i<j}
+log|v_j^2 - v_i^2|.  F is strictly convex on the chamber; the unique
+interior minimizer is the Hermite zero set (A) or the elementwise square
+root of the Laguerre zero set with parameter nu - 1/2 (B).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .rootsys import (
     freezing_constant,
     gamma,
     in_weyl_chamber,
-    positive_roots,
+    root_table,
 )
 
 _WEYL_CAP = {TYPE_A: 8, TYPE_B: 6}
@@ -45,6 +46,10 @@ class PotentialReport:
     freezing_constant: float
     identity_residuals: dict = field(default_factory=dict)
     newton_iterations: int = 0
+    #: Newton decrement g^T H^-1 g at the minimizer, the solver's error measure
+    newton_decrement: float = 0.0
+    #: potential evaluations, line-search trials included
+    potential_evaluations: int = 0
 
 
 def _require_interior(cfg, v):
@@ -53,41 +58,28 @@ def _require_interior(cfg, v):
 
 
 def potential(cfg: RootSystemConfig, v):
-    """(value, gradient, hessian) of the log-gas potential at interior v."""
+    """(value, gradient, hessian) of the log-gas potential at interior v.
+
+    With a = alpha . v over the root table: gradient v - sum kappa alpha / a
+    and Hessian I + sum kappa alpha alpha^T / a^2.
+    """
     v = np.asarray(v, dtype=float)
     _require_interior(cfg, v)
-    n = cfg.n
-    val = 0.5 * float(v @ v)
-    grad = v.copy()
-    hess = np.eye(n)
-    if cfg.kind == TYPE_A:
-        for i in range(n):
-            for j in range(i):
-                d = v[i] - v[j]
-                val -= math.log(abs(d))
-                grad[i] -= 1.0 / d
-                grad[j] += 1.0 / d
-                w = 1.0 / d**2
-                hess[i, i] += w
-                hess[j, j] += w
-                hess[i, j] -= w
-                hess[j, i] -= w
-    else:
-        nu = cfg.nu
-        for i in range(n):
-            val -= (2 * nu + 1) / 2.0 * math.log(abs(v[i]))
-            grad[i] -= (2 * nu + 1) / (2.0 * v[i])
-            hess[i, i] += (2 * nu + 1) / (2.0 * v[i] ** 2)
-            for j in range(i):
-                d2 = v[i] ** 2 - v[j] ** 2
-                val -= math.log(abs(d2))
-                grad[i] -= 2.0 * v[i] / d2
-                grad[j] += 2.0 * v[j] / d2
-                hess[i, i] += 2.0 * (v[i] ** 2 + v[j] ** 2) / d2**2
-                hess[j, j] += 2.0 * (v[i] ** 2 + v[j] ** 2) / d2**2
-                hess[i, j] -= 4.0 * v[i] * v[j] / d2**2
-                hess[j, i] -= 4.0 * v[i] * v[j] / d2**2
-    return val, grad, hess
+    n, t = cfg.n, root_table(cfg)
+    a = t.dot(v)
+    g = t.kappa / a
+    w = g / a
+    grad = v - np.bincount(t.j, g, n) - np.bincount(t.i, t.s * g, n)
+    off = np.bincount(t.j * n + t.i, t.s * w, n * n).reshape(n, n)
+    diag = 1.0 + np.bincount(t.j, w, n) + np.bincount(t.i, t.s**2 * w, n)
+    hess = np.diag(diag) + off + off.T
+    return _value(t, v), grad, hess
+
+
+def _value(t, v):
+    """F(v) through |alpha . v|: reflection invariant, +inf on a wall."""
+    with np.errstate(divide="ignore"):
+        return 0.5 * float(v @ v) - float(t.kappa @ np.log(np.abs(t.dot(v))))
 
 
 def _initial_guess(cfg):
@@ -106,54 +98,52 @@ def _initial_guess(cfg):
 def peak_set(cfg: RootSystemConfig) -> PotentialReport:
     """Damped-Newton minimization of the potential from a chamber-interior start.
 
-    Converges to the Fekete configuration; the report carries the exact
-    freezing identities |F(v*) - K| and | |v*|^2 - gamma | as residuals.
+    Stops when the Newton decrement g^T H^-1 g falls to (64 eps)^2 times
+    the size of F's terms, |v|^2/2 + sum kappa |log alpha.v|, or, once
+    below 1e-6 of that size, stops falling: the rounding floor.  The
+    line search compares values with a slack of 64 eps times that size.
+    The report carries the exact freezing identities |F(v*) - K| and
+    | |v*|^2 - gamma | as residuals, and the final decrement.
     """
+    t = root_table(cfg)
     v = _initial_guess(cfg)
-    tol = 1e-12
-    iters = 0
-    prev_gnorm = math.inf
+    tol = 64 * np.finfo(float).eps
+    evals = 0
+    prev = math.inf
     for iters in range(1, 101):
         val, grad, hess = potential(cfg, v)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol * max(1.0, float(np.linalg.norm(v))):
-            break
-        if gnorm < 1e-8 and gnorm >= prev_gnorm:
-            break  # gradient at its floating-point noise floor
-        prev_gnorm = gnorm
+        evals += 1
         step = np.linalg.solve(hess, grad)
-        if gnorm < 1e-6:
-            # quadratic-convergence region: the objective decrease is below
-            # float noise, so the Armijo test would stall; take the full step
-            cand = v - step
-            if in_weyl_chamber(cfg, cand):
-                v = cand
-                continue
-        t = 1.0
+        dec = float(grad @ step)
+        size = max(1.0, 0.5 * float(v @ v) + float(t.kappa @ np.abs(np.log(t.dot(v)))))
+        if dec <= tol**2 * size or (dec <= 1e-6 * size and dec >= prev):
+            break
+        prev = dec
+        h = 1.0
         for _ in range(60):
-            cand = v - t * step
+            cand = v - h * step
             if in_weyl_chamber(cfg, cand):
-                cand_val, _, _ = potential(cfg, cand)
-                if cand_val <= val - 0.25 * t * float(grad @ step):
+                evals += 1
+                if _value(t, cand) <= val - 0.25 * h * dec + tol * size:
                     break
-            t *= 0.5
+            h *= 0.5
         else:
             raise RuntimeError("Newton line search failed")
-        v = v - t * step
+        v = cand
     else:
         raise RuntimeError("Newton did not converge within 100 iterations")
-    val, grad, _ = potential(cfg, v)
     k = freezing_constant(cfg)
-    g = gamma(cfg)
     report = PotentialReport(
         minimizer=v,
         potential_at_min=val,
         freezing_constant=k,
         newton_iterations=iters,
+        newton_decrement=dec,
+        potential_evaluations=evals,
     )
     report.identity_residuals = {
         "potential_minus_constant": abs(val - k),
-        "sq_norm_minus_gamma": abs(float(v @ v) - g),
+        "sq_norm_minus_gamma": abs(float(v @ v) - gamma(cfg)),
         "gradient_norm": float(np.linalg.norm(grad)),
     }
     return report
@@ -178,33 +168,14 @@ def steady_state_logdensity(cfg: RootSystemConfig, v) -> float:
 
     Type A: log[N! (beta/2pi)^{N/2}] - beta (F(v) - K);
     type B: log[N! (2 beta)^{N/2}] - beta (F(v) - K).
-    Defined by reflection symmetry on all of R^N; -inf on chamber walls.
+    Defined by reflection symmetry on all of R^N (F is evaluated through
+    |alpha . v|, as the FKE reflections need); -inf on chamber walls.
     """
     v = np.asarray(v, dtype=float)
     n, b = cfg.n, cfg.beta
-    k = freezing_constant(cfg)
-    # evaluate F through reflection-invariant absolute values so the density
-    # extends symmetrically off the chamber (needed by the FKE reflections)
-    val = 0.5 * float(v @ v)
-    try:
-        if cfg.kind == TYPE_A:
-            pref = gammaln_int(n) + n / 2.0 * math.log(b / (2 * math.pi))
-            for i in range(n):
-                for j in range(i):
-                    val -= math.log(abs(v[i] - v[j]))
-        else:
-            pref = gammaln_int(n) + n / 2.0 * math.log(2 * b)
-            for i in range(n):
-                val -= (2 * cfg.nu + 1) / 2.0 * math.log(abs(v[i]))
-                for j in range(i):
-                    val -= math.log(abs(v[i] ** 2 - v[j] ** 2))
-    except ValueError:
-        return NEG_INF
-    return pref - b * (val - k)
-
-
-def gammaln_int(n):
-    return math.lgamma(n + 1)
+    pref = math.lgamma(n + 1) + n / 2.0 * math.log(
+        b / (2 * math.pi) if cfg.kind == TYPE_A else 2 * b)
+    return pref - b * (_value(root_table(cfg), v) - freezing_constant(cfg))
 
 
 def weyl_orbit(cfg: RootSystemConfig, s) -> np.ndarray:
@@ -289,11 +260,11 @@ def fke_residual(cfg: RootSystemConfig, logdensity_fn, v, h: float | None = None
     n = cfg.n
     if h is None:
         h = 1e-4 * max(1.0, float(np.linalg.norm(v)))
+    t = root_table(cfg)
+    a = t.dot(v)
     # boundary margin: all stencil points must stay off the chamber walls
-    roots, kappas = positive_roots(cfg)
-    for alpha in roots:
-        if abs(float(alpha @ v)) <= 2 * h:
-            raise ValueError("insufficient margin to the chamber boundary")
+    if np.any(np.abs(a) <= 2 * h):
+        raise ValueError("insufficient margin to the chamber boundary")
 
     def f(pt):
         ld = logdensity_fn(pt)
@@ -308,32 +279,31 @@ def fke_residual(cfg: RootSystemConfig, logdensity_fn, v, h: float | None = None
         fp, fm = f(v + e), f(v - e)
         grad[i] = (fp - fm) / (2 * h)
         lap += (fp + fm - 2 * f0) / h**2
-    terms = [lap / cfg.beta, float(v @ grad), n * f0]
-    total = sum(terms)
-    for alpha, kap in zip(roots, kappas):
-        av = float(alpha @ v)
-        refl = v - 2 * av / float(alpha @ alpha) * alpha
-        t1 = -kap * float(alpha @ grad) / av
-        t2 = kap * float(alpha @ alpha) / 2.0 * (f0 + f(refl)) / av**2
-        terms.extend([t1, t2])
-        total += t1 + t2
-    return FkeResidual(value=total, term_scale=max(abs(t) for t in terms))
+    a2 = 1.0 + t.s**2
+    c = 2 * a / a2  # sigma_alpha v = v - c alpha
+    refl_f = np.empty(len(a))
+    for k in range(len(a)):
+        refl = v.copy()
+        refl[t.j[k]] -= c[k]
+        refl[t.i[k]] -= c[k] * t.s[k]
+        refl_f[k] = f(refl)
+    t1 = -t.kappa * (grad[t.j] + t.s * grad[t.i]) / a
+    t2 = t.kappa * a2 / 2.0 * (f0 + refl_f) / a**2
+    terms = [lap / cfg.beta, float(v @ grad), n * f0, *t1, *t2]
+    return FkeResidual(value=float(sum(terms)), term_scale=float(max(map(abs, terms))))
 
 
 def cm_gradient_identity_residual(cfg: RootSystemConfig, v) -> float:
     """|  |grad F(v)|^2  -  ( |v|^2 - 2 gamma + sum |alpha|^2 kappa^2/(alpha.v)^2 ) |.
 
     The left side comes from the potential gradient, the right side from
-    explicit root enumeration; the identity ties the log-gas potential to
+    the root table; the identity ties the log-gas potential to
     the leading inverse-square interaction term of the associated
     Calogero–Moser-type Hamiltonian.
     """
     v = np.asarray(v, dtype=float)
     _, grad, _ = potential(cfg, v)
-    lhs = float(grad @ grad)
-    roots, kappas = positive_roots(cfg)
+    t = root_table(cfg)
     rhs = float(v @ v) - 2.0 * gamma(cfg)
-    for alpha, kap in zip(roots, kappas):
-        a2 = float(alpha @ alpha)
-        rhs += a2 * kap**2 / float(alpha @ v) ** 2
-    return abs(lhs - rhs)
+    rhs += float(np.sum((1.0 + t.s**2) * t.kappa**2 / t.dot(v) ** 2))
+    return abs(float(grad @ grad) - rhs)

@@ -166,12 +166,23 @@ def laguerre_zeros(n: int, alpha: float) -> PolyZeros:
     return PolyZeros(LAGUERRE, n, alpha, np.sort(zeros))
 
 
-def _hermite_logsign(n, x):
-    """(log|H_n(x)|, sign) by the recurrence with periodic rescaling."""
-    h, _, logscale = _hermite_scaled(n, x)
+def _logsign(scaled):
+    """(log|p|, sign p) from a scaled recurrence's (value, _, logscale);
+    -inf where p is 0."""
+    value, _, logscale = scaled
     with np.errstate(divide="ignore"):
-        logmag = np.where(h != 0.0, np.log(np.abs(np.where(h != 0, h, 1.0))), -np.inf)
-    return logmag + logscale, np.sign(h)
+        return np.log(np.abs(value)) + logscale, np.sign(value)
+
+
+def _signed_sum(terms):
+    """(bracket, top) with sum of sign e^logmag over terms = bracket e^top.
+
+    terms are (logmag, sign) pairs; top is their largest finite logmag, so
+    sums of factorially large polynomial products stay in range.
+    """
+    top = np.maximum.reduce([logmag for logmag, _ in terms])
+    top = np.where(np.isfinite(top), top, 0.0)
+    return sum(sign * np.exp(logmag - top) for logmag, sign in terms), top
 
 
 def density_a_exact(n: int, t: float, y):
@@ -186,14 +197,10 @@ def density_a_exact(n: int, t: float, y):
         raise ValueError("t > 0 required")
     y = np.asarray(y, dtype=float)
     u = y / math.sqrt(2 * t)
-    ln_n, sn_n = _hermite_logsign(n, u)
-    ln_p, sn_p = _hermite_logsign(n + 1, u)
-    ln_m, sn_m = _hermite_logsign(n - 1, u)
-    a1, s1 = 2 * ln_n, sn_n * sn_n
-    a2, s2 = ln_p + ln_m, sn_p * sn_m
-    top = np.maximum(a1, a2)
-    top = np.where(np.isfinite(top), top, 0.0)
-    bracket = s1 * np.exp(a1 - top) - s2 * np.exp(a2 - top)
+    ln_n, sn_n = _logsign(_hermite_scaled(n, u))
+    ln_p, sn_p = _logsign(_hermite_scaled(n + 1, u))
+    ln_m, sn_m = _logsign(_hermite_scaled(n - 1, u))
+    bracket, top = _signed_sum([(2 * ln_n, 1.0), (ln_p + ln_m, -sn_p * sn_m)])
     lognorm = n * math.log(2.0) + gammaln(n) + 0.5 * math.log(2 * math.pi * t)
     dens = np.maximum(bracket, 0.0) * np.exp(top - u * u - lognorm)
     return float(dens) if dens.ndim == 0 else dens
@@ -204,7 +211,8 @@ def density_b_exact(n: int, nu: float, t: float, y):
 
     (N!/Gamma(nu+N)) { N [L_N(u)]^2 + L_N L_{N-1} - (N+1) L_{N+1} L_{N-1} }
         * (2/y) u^nu e^{-u},   u = y^2 / 2t,  Laguerre parameter nu.
-    Integrates to N on (0, inf).
+    Integrates to N on (0, inf).  Combined in log-magnitude + sign space,
+    as in `density_a_exact`.
     """
     if t <= 0:
         raise ValueError("t > 0 required")
@@ -212,13 +220,16 @@ def density_b_exact(n: int, nu: float, t: float, y):
     if np.any(y <= 0):
         raise ValueError("y > 0 required")
     u = y * y / (2 * t)
-    l_n, _ = laguerre_eval(n, nu, u)
-    l_m, _ = laguerre_eval(n - 1, nu, u)
-    l_p, _ = laguerre_eval(n + 1, nu, u)
-    bracket = n * np.asarray(l_n) ** 2 + np.asarray(l_n) * np.asarray(l_m) \
-        - (n + 1) * np.asarray(l_p) * np.asarray(l_m)
+    ln_n, sn_n = _logsign(_laguerre_scaled(n, nu, u))
+    ln_m, sn_m = _logsign(_laguerre_scaled(n - 1, nu, u))
+    ln_p, sn_p = _logsign(_laguerre_scaled(n + 1, nu, u))
+    bracket, top = _signed_sum([
+        (math.log(n) + 2 * ln_n, 1.0),
+        (ln_n + ln_m, sn_n * sn_m),
+        (math.log(n + 1) + ln_p + ln_m, -sn_p * sn_m),
+    ])
     logpref = gammaln(n + 1) - gammaln(nu + n)
     dens = np.maximum(bracket, 0.0) * np.exp(
-        logpref + nu * np.log(u) - u + np.log(2.0) - np.log(y)
+        top + logpref + nu * np.log(u) - u + np.log(2.0) - np.log(y)
     )
     return float(dens) if dens.ndim == 0 else dens

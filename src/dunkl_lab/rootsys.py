@@ -6,10 +6,15 @@ processes (additional repulsion from the origin and from mirror images,
 chamber 0 < x_1 < ... < x_N).  Everything downstream — SDE drifts,
 log-gas potentials, series kernels — is parameterized by the config
 defined here.
+
+`root_table` lists the positive roots with their multiplicities as index
+arrays, so a sum over roots is a gather and a `np.bincount`.  Type B's pair
+factor log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,37 +75,58 @@ def gamma(cfg: RootSystemConfig) -> float:
     return n * (n + cfg.nu - 0.5)
 
 
+@dataclass(frozen=True, eq=False)
+class RootTable:
+    """Positive roots alpha = e_j + s e_i as read-only index arrays, with
+    multiplicities kappa: pair roots have j > i and s = -1, or s = +1 (type
+    B); type B's coordinate roots e_j have s = 0 and i = j.  So every row
+    has alpha . v = v[j] + s v[i] and |alpha|^2 = 1 + s^2."""
+
+    i: np.ndarray
+    j: np.ndarray
+    s: np.ndarray
+    kappa: np.ndarray
+
+    def dot(self, v):
+        """alpha . v for every root, for one coordinate vector v."""
+        return v[self.j] + self.s * v[self.i]
+
+
+def root_table(cfg: RootSystemConfig) -> RootTable:
+    """The positive roots of cfg, built on first use and cached on (kind, n, nu)."""
+    return _root_table(cfg.kind, cfg.n, cfg.nu)
+
+
+@functools.lru_cache(maxsize=32)
+def _root_table(kind, n, nu):
+    j, i = np.tril_indices(n, -1)  # j > i, in the order (1,0), (2,0), (2,1), ...
+    s = np.full(len(i), -1.0)
+    kappa = np.ones(len(i))
+    if kind == TYPE_B:  # e_j - e_i and e_j + e_i side by side, then the e_j
+        k = np.arange(n)
+        i, j = np.concatenate([np.repeat(i, 2), k]), np.concatenate([np.repeat(j, 2), k])
+        s = np.concatenate([np.tile([-1.0, 1.0], len(s)), np.zeros(n)])
+        kappa = np.concatenate([np.ones(2 * len(kappa)), np.full(n, nu + 0.5)])
+    for a in (i, j, s, kappa):
+        a.flags.writeable = False
+    return RootTable(i, j, s, kappa)
+
+
 def positive_roots(cfg: RootSystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit positive roots and their multiplicities.
+    """Explicit positive roots and their multiplicities, from `root_table`.
 
     Returns (roots, kappa) with roots of shape (n_roots, N).  Type A uses
-    e_i - e_j (i > j), multiplicity 1; type B adds the coordinate roots e_i
-    with multiplicity nu + 1/2 and the sums e_i + e_j with multiplicity 1.
-    The overall beta factor is *not* folded in here.
+    e_i - e_j (i > j), multiplicity 1; type B adds the sums e_i + e_j with
+    multiplicity 1 and the coordinate roots e_i with multiplicity nu + 1/2.
+    The overall beta factor is *not* folded in here.  The dense matrix grows
+    as N^3; sums over roots use the table instead.
     """
-    n = cfg.n
-    roots = []
-    kappas = []
-    for i in range(n):
-        for j in range(i):
-            r = np.zeros(n)
-            r[i], r[j] = 1.0, -1.0
-            roots.append(r)
-            kappas.append(1.0)
-            if cfg.kind == TYPE_B:
-                r = np.zeros(n)
-                r[i], r[j] = 1.0, 1.0
-                roots.append(r)
-                kappas.append(1.0)
-    if cfg.kind == TYPE_B:
-        for i in range(n):
-            r = np.zeros(n)
-            r[i] = 1.0
-            roots.append(r)
-            kappas.append(cfg.nu + 0.5)
-    if not roots:  # type A, N = 1
-        return np.zeros((0, n)), np.zeros(0)
-    return np.asarray(roots), np.asarray(kappas)
+    t = root_table(cfg)
+    rows = np.arange(len(t.kappa))
+    roots = np.zeros((len(rows), cfg.n))
+    roots[rows, t.j] = 1.0
+    roots[rows, t.i] += t.s
+    return roots, t.kappa.copy()
 
 
 def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:

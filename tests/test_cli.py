@@ -23,6 +23,9 @@ def test_fekete_stdout(capsys):
     assert payload["oracle_max_delta"] < 1e-9
     assert payload["identity_residuals"]["potential_minus_constant"] < 1e-9
     assert len(payload["minimizer"]) == 4
+    # the solver's own error measure and cost
+    assert 0.0 <= payload["newton_decrement"] < 1e-20
+    assert payload["potential_evaluations"] >= payload["newton_iterations"] >= 1
 
 
 def test_fekete_writes_file_and_manifest(tmp_path):

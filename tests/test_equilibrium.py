@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
+from scipy.special import roots_genlaguerre, roots_hermite
 
 from dunkl_lab import equilibrium
 from dunkl_lab.equilibrium import (
@@ -23,6 +26,7 @@ from dunkl_lab.rootsys import (
     RootSystemConfig,
     freezing_constant,
     gamma,
+    in_weyl_chamber,
     log_selberg_const,
 )
 
@@ -33,6 +37,104 @@ def _rand_interior(cfg, rng, spread=2.0):
                                 size=cfg.n))
         if np.min(np.diff(v)) > 0.15 if cfg.n > 1 else True:
             return v
+
+
+def _roots_by_hand(cfg):
+    # (coefficients {index: c}, kappa) of every positive root
+    roots = []
+    for j in range(cfg.n):
+        for i in range(j):
+            roots.append(({j: 1.0, i: -1.0}, 1.0))
+            if cfg.kind == TYPE_B:
+                roots.append(({j: 1.0, i: 1.0}, 1.0))
+    if cfg.kind == TYPE_B:
+        roots += [({j: 1.0}, cfg.nu + 0.5) for j in range(cfg.n)]
+    return roots
+
+
+def _potential_by_loop(cfg, v):
+    """Brute-force root loop: F through |alpha.v|, its gradient and Hessian,
+    each with the summed magnitudes of its terms (the tolerance scale)."""
+    n = cfg.n
+    val = mag_val = 0.5 * sum(x * x for x in v)
+    grad, mag_grad = np.array(v, dtype=float), np.abs(v)
+    hess, mag_hess = np.eye(n), np.eye(n)
+    for coef, kap in _roots_by_hand(cfg):
+        a = sum(c * v[k] for k, c in coef.items())
+        val -= kap * math.log(abs(a))
+        mag_val += abs(kap * math.log(abs(a)))
+        for k, c in coef.items():
+            grad[k] -= kap * c / a
+            mag_grad[k] += abs(kap * c / a)
+            for m, d in coef.items():
+                hess[k, m] += kap * c * d / a**2
+                mag_hess[k, m] += abs(kap * c * d / a**2)
+    return (val, grad, hess), (mag_val, mag_grad, mag_hess)
+
+
+@st.composite
+def _config_and_point(draw, chamber):
+    kind = draw(st.sampled_from([TYPE_A, TYPE_B]))
+    n = draw(st.integers(1, 6))
+    nu = draw(st.floats(0.0, 5.0)) if kind == TYPE_B else None
+    beta = draw(st.floats(1.0, 10.0))
+    v = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    cfg = RootSystemConfig(kind, n, beta, nu=nu)
+    if chamber:
+        v = np.sort(np.abs(v) if kind == TYPE_B else v)
+        assume(in_weyl_chamber(cfg, v))
+    return cfg, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_and_point(chamber=True))
+def test_potential_matches_root_loop(case):
+    cfg, v = case
+    # keep 1/(alpha.v)^2 inside the float range
+    assume(all(abs(sum(c * v[i] for i, c in coef.items())) >= 1e-6
+               for coef, _ in _roots_by_hand(cfg)))
+    got = potential(cfg, v)
+    ref, mag = _potential_by_loop(cfg, v)
+    for g, r, m in zip(got, ref, mag):
+        assert np.all(np.abs(np.asarray(g) - r) <= 1e-12 * np.asarray(m))
+    res = cm_gradient_identity_residual(cfg, v)
+    terms = float(mag[1] @ mag[1]) + float(v @ v) + 2 * gamma(cfg)
+    assert res <= 1e-12 * terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_and_point(chamber=False), st.randoms(use_true_random=False))
+def test_steady_state_logdensity_matches_root_loop(case, rnd):
+    cfg, v = case
+    n, b = cfg.n, cfg.beta
+    pref = math.lgamma(n + 1) + n / 2 * math.log(
+        b / (2 * math.pi) if cfg.kind == TYPE_A else 2 * b)
+    k = freezing_constant(cfg)
+    on_wall = any(sum(c * v[i] for i, c in coef.items()) == 0.0
+                  for coef, _ in _roots_by_hand(cfg))
+    got = steady_state_logdensity(cfg, v)
+    if on_wall:
+        assert got == -math.inf
+        return
+    with np.errstate(all="ignore"):  # the unused Hessian may overflow
+        (val, _, _), (mag, _, _) = _potential_by_loop(cfg, v)
+    scale = abs(pref) + b * (mag + abs(k))
+    assert abs(got - (pref - b * (val - k))) <= 1e-12 * scale
+    # invariant under the reflection group: permutations (A), signed ones (B)
+    img = v[rnd.sample(range(n), n)]
+    if cfg.kind == TYPE_B:
+        img = img * np.array([rnd.choice([-1.0, 1.0]) for _ in range(n)])
+    assert abs(steady_state_logdensity(cfg, img) - got) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 0.0), (TYPE_B, 1.5)])
+def test_steady_state_logdensity_is_minus_inf_on_walls(kind, nu):
+    cfg = RootSystemConfig(kind, 3, 2.0, nu=nu)
+    walls = [np.array([0.5, 0.5, 1.0]), np.array([-1.0, 0.2, -1.0])]
+    if kind == TYPE_B:
+        walls += [np.array([0.0, 0.4, 1.0]), np.array([0.3, -0.3, 1.2])]
+    for w in walls:
+        assert steady_state_logdensity(cfg, w) == -math.inf
 
 
 @pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 0.5), (TYPE_B, 2.5)])
@@ -73,6 +175,27 @@ def test_peak_set_type_b_is_sqrt_laguerre_zero_set(n, nu):
     assert np.max(np.abs(rep.minimizer - oracle)) < 1e-9
     assert rep.identity_residuals["potential_minus_constant"] < 1e-9
     assert rep.identity_residuals["sq_norm_minus_gamma"] < 1e-9
+
+
+@pytest.mark.parametrize("kind,n,nu", [
+    (TYPE_A, 300, None), (TYPE_B, 200, 0.5), (TYPE_B, 300, 2.5), (TYPE_A, 1000, None)])
+def test_peak_set_large_n(kind, n, nu):
+    # the stop must scale with the size of F's terms: a rule on |grad| never
+    # stopped at B200, and a decrement bound of 16 eps * size stops 1e-7 short
+    # of the zeros at A300
+    cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
+    rep = peak_set(cfg)
+    if kind == TYPE_A:
+        oracle = np.sort(roots_hermite(n)[0])
+    else:
+        oracle = np.sqrt(np.sort(roots_genlaguerre(n, nu - 0.5)[0]))
+    v = rep.minimizer
+    assert np.max(np.abs(v - oracle)) <= 1e-12 * max(1.0, float(np.max(oracle)))
+    k, g = freezing_constant(cfg), gamma(cfg)
+    assert abs(rep.potential_at_min - k) <= 1e-13 * max(1.0, abs(k))
+    assert abs(float(v @ v) - g) <= 1e-13 * g
+    assert 0.0 <= rep.newton_decrement <= 1e-20
+    assert rep.potential_evaluations >= rep.newton_iterations
 
 
 def test_log_discriminant_identities():

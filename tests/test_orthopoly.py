@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import roots_genlaguerre, roots_hermite
+from scipy.special import gammaln, roots_genlaguerre, roots_hermite
 
 from dunkl_lab.orthopoly import (
     _polish,
@@ -134,6 +134,35 @@ def test_density_b_mass(n, nu):
     val, _ = quad(lambda y: density_b_exact(n, nu, 0.9, np.array([y]))[0],
                   1e-12, np.inf, limit=200)
     assert val == pytest.approx(n, rel=1e-6)
+
+
+def _density_b_by_sum(n, nu, t, y):
+    # sum_{k<N} phi_k(u)^2 du/dy, u = y^2/2t, with the orthonormal Laguerre
+    # functions phi_k = sqrt(k!/Gamma(k+nu+1)) u^{nu/2} e^{-u/2} L_k^nu(u)
+    # from their normalised three-term recurrence
+    u = y * y / (2 * t)
+    p_prev = np.zeros_like(u)
+    p = np.exp(nu / 2 * np.log(u) - u / 2 - 0.5 * gammaln(nu + 1))
+    total = p * p
+    for k in range(n - 1):
+        a = math.sqrt((k + 1) / (k + nu + 1))
+        b = math.sqrt(k * (k + 1) / ((k + nu) * (k + nu + 1))) if k > 0 else 0.0
+        p, p_prev = ((2 * k + nu + 1 - u) * a * p - (k + nu) * b * p_prev) / (k + 1), p
+        total += p * p
+    return total * y / t
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.5])
+def test_density_b_exact_large_n_matches_direct_sum(nu):
+    # at N = 150 the Laguerre values overflow a double; the bracket is
+    # combined in log-magnitude + sign space
+    n, t = 150, 1.3
+    edge = math.sqrt(2.0 * t * (4 * n + 2 * nu + 2))
+    y = np.linspace(1.2 * edge / 2001, 1.2 * edge, 2001)
+    dens = density_b_exact(n, nu, t, y)
+    ref = _density_b_by_sum(n, nu, t, y)
+    assert np.all(np.isfinite(dens))
+    assert np.max(np.abs(dens - ref)) <= 1e-9 * np.max(ref)
 
 
 def test_density_nonnegative_large_n():

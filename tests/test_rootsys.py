@@ -18,6 +18,7 @@ from dunkl_lab.rootsys import (
     log_weight,
     positive_roots,
     rank,
+    root_table,
 )
 
 
@@ -50,6 +51,60 @@ def test_gamma_equals_multiplicity_sum(kind, nu, n):
     roots, kappas = positive_roots(cfg)
     assert roots.shape == (len(kappas), n)
     assert abs(gamma(cfg) - float(np.sum(kappas))) < 1e-12
+
+
+def _positive_roots_by_loop(cfg):
+    # the dense listing as it was written before the root table
+    n = cfg.n
+    roots, kappas = [], []
+    for i in range(n):
+        for j in range(i):
+            r = np.zeros(n)
+            r[i], r[j] = 1.0, -1.0
+            roots.append(r)
+            kappas.append(1.0)
+            if cfg.kind == TYPE_B:
+                r = np.zeros(n)
+                r[i], r[j] = 1.0, 1.0
+                roots.append(r)
+                kappas.append(1.0)
+    if cfg.kind == TYPE_B:
+        for i in range(n):
+            r = np.zeros(n)
+            r[i] = 1.0
+            roots.append(r)
+            kappas.append(cfg.nu + 0.5)
+    return np.reshape(roots, (len(kappas), n)), np.asarray(kappas)
+
+
+def test_positive_roots_hand_listed():
+    roots, kappas = positive_roots(RootSystemConfig(TYPE_A, 3, 2.0))
+    assert np.array_equal(roots, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+    assert np.array_equal(kappas, [1, 1, 1])
+    roots, kappas = positive_roots(RootSystemConfig(TYPE_B, 2, 2.0, nu=1.5))
+    assert np.array_equal(roots, [[-1, 1], [1, 1], [1, 0], [0, 1]])
+    assert np.array_equal(kappas, [1, 1, 2, 2])
+    roots, kappas = positive_roots(RootSystemConfig(TYPE_A, 1, 2.0))
+    assert roots.shape == (0, 1) and kappas.shape == (0,)
+    for kind, nu in ((TYPE_A, None), (TYPE_B, 0.0), (TYPE_B, 2.5)):
+        for n in range(1, 7):
+            cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
+            roots, kappas = positive_roots(cfg)
+            ref_roots, ref_kappas = _positive_roots_by_loop(cfg)
+            assert np.array_equal(roots, ref_roots)
+            assert np.array_equal(kappas, ref_kappas)
+
+
+def test_root_table_is_cached_and_read_only():
+    cfg = RootSystemConfig(TYPE_B, 4, 2.0, nu=0.5)
+    t = root_table(cfg)
+    assert root_table(RootSystemConfig(TYPE_B, 4, 7.0, nu=0.5)) is t  # beta is not in the key
+    assert root_table(RootSystemConfig(TYPE_B, 4, 2.0, nu=1.5)) is not t
+    v = np.array([0.3, 0.7, 1.1, 2.0])
+    roots, _ = positive_roots(cfg)
+    assert np.array_equal(t.dot(v), roots @ v)
+    with pytest.raises(ValueError):
+        t.kappa[0] = 0.0
 
 
 def test_log_weight_hand_values():
