@@ -1,9 +1,12 @@
 """Hermite / associated Laguerre evaluation, zeros, and exact beta=2 densities.
 
-Zeros come from the eigenvalues of the symmetric tridiagonal Jacobi matrix
-of the three-term recurrence (Golub-Welsch), then a few vectorized Newton
-steps on the recurrence-evaluated polynomial polish each zero to machine
-precision independently of the eigensolver's own accuracy.
+One orthonormal three-term recurrence, fed each family's coefficients,
+serves everything.  Zeros come from the eigenvalues of the symmetric
+tridiagonal Jacobi matrix of the same coefficients (Golub-Welsch), then a
+few vectorized Newton steps on the recurrence polish each zero to machine
+precision independently of the eigensolver's own accuracy.  The beta=2
+densities are the diagonal of the Christoffel-Darboux kernel, the sum of
+the squared orthonormal functions, summed along the same recurrence.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 HERMITE = "hermite"
 LAGUERRE = "laguerre"
@@ -26,85 +29,91 @@ class PolyZeros:
     zeros: np.ndarray
 
 
-def _hermite_scaled(n: int, x):
-    """(h, h_prev, logscale) with H_n(x) = h e^logscale and
-    H_{n-1}(x) = h_prev e^logscale, by the recurrence with periodic rescaling.
+def _hermite_coeffs(n: int):
+    """Orthonormal recurrence coefficients (a_k, b_k), k = 0..n, for e^{-x^2}."""
+    return np.zeros(n + 1), np.sqrt(np.arange(n + 1) / 2.0)
 
-    The common factor keeps the recurrence finite at large n; the ratio
-    H_n / H_{n-1} needs no rescaling back.
+
+def _laguerre_coeffs(n: int, alpha: float):
+    """Orthonormal recurrence coefficients (a_k, b_k), k = 0..n, for x^alpha e^{-x}."""
+    if alpha <= -1:
+        raise ValueError("alpha > -1 required")
+    k = np.arange(n + 1)
+    return 2 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
+
+
+def _recurrence(a, b, x):
+    """(p_n, p_n', sum_{k<n} p_k^2, logscale) at x, with n = len(a) - 1.
+
+    Runs x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1} from p_0 = 1, so
+    the p_k are orthonormal for the weight divided by its mass.  The true
+    values are p_n e^logscale, p_n' e^logscale and the sum e^{2 logscale}:
+    a point is divided by its largest carried magnitude once that passes
+    1e120, so the recurrence stays finite where p_n overflows.  The
+    x-derivative b_{k+1} p_{k+1}' = (x - a_k) p_k' + p_k - b_k p_{k-1}' is
+    carried alongside: O(n) and exact at x = 0, where a quotient relation
+    for p_n' is not.
     """
     x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)  # H_{-1} := 0
-    h = np.ones_like(x)
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
     logscale = np.zeros_like(x)
-    for k in range(n):
-        h_prev, h = h, 2 * x * h - 2 * k * h_prev
-        big = np.abs(h) > 1e120
+    for ak, bk, bk1 in zip(a[:-1].tolist(), b[:-1].tolist(), b[1:].tolist()):
+        total = total + p * p
+        c = x - ak
+        p_prev, p, d_prev, d = (
+            p,
+            (c * p - bk * p_prev) / bk1,
+            d,
+            (c * d + p - bk * d_prev) / bk1,
+        )
+        size = np.maximum(np.abs(p), np.abs(d))
+        big = size > 1e120
         if np.any(big):
-            factor = np.where(big, np.abs(h), 1.0)
-            h = h / factor
-            h_prev = h_prev / factor
+            factor = np.where(big, size, 1.0)
+            p, p_prev, d, d_prev = p / factor, p_prev / factor, d / factor, d_prev / factor
+            total = total / (factor * factor)
             logscale = logscale + np.log(factor)
-    return h, h_prev, logscale
+    return p, d, total, logscale
+
+
+def _unscaled(name: str, n: int, p, d, shift):
+    """(p e^shift, d e^shift), formed in log space; FloatingPointError where
+    either leaves the float range."""
+    with np.errstate(over="ignore", divide="ignore"):
+        value, deriv = (np.sign(v) * np.exp(np.log(np.abs(v)) + shift) for v in (p, d))
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(deriv))):
+        raise FloatingPointError(f"{name} or its derivative leaves the float range at n={n}")
+    if value.ndim == 0:
+        return float(value), float(deriv)
+    return value, deriv
 
 
 def hermite_eval(n: int, x):
     """Physicists' Hermite H_n: returns (value, derivative).
 
-    Three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1}; H_n' = 2n H_{n-1}.
+    H_n = sqrt(2^n n!) p_n, with p_n from the orthonormal recurrence.
     """
-    x = np.asarray(x, dtype=float)
-    h, h_prev, logscale = _hermite_scaled(n, x)
-    scale = np.exp(logscale)
-    value = h * scale
-    deriv = 2 * n * h_prev * scale
-    if x.ndim == 0:
-        return float(value), float(deriv)
-    return value, deriv
-
-
-def _laguerre_scaled(n: int, alpha: float, x):
-    """(l, d, logscale) with L_n^(alpha)(x) = l e^logscale and its
-    x-derivative d e^logscale.
-
-    Recurrence (k+1) L_{k+1} = (2k+alpha+1-x) L_k - (k+alpha) L_{k-1}, and
-    its x-derivative (k+1) L'_{k+1} = (2k+alpha+1-x) L'_k - L_k
-    - (k+alpha) L'_{k-1} carried alongside, with periodic rescaling: O(n),
-    finite where L_n overflows, and exact at x = 0 (the quotient relation
-    x L' = n L - (n+a) L_{n-1} is not).
-    """
-    x = np.asarray(x, dtype=float)
-    l_prev = np.zeros_like(x)
-    l = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    d = np.zeros_like(x)
-    logscale = np.zeros_like(x)
-    for k in range(n):
-        c = 2 * k + alpha + 1 - x
-        l_prev, l, d_prev, d = (
-            l,
-            (c * l - (k + alpha) * l_prev) / (k + 1),
-            d,
-            (c * d - l - (k + alpha) * d_prev) / (k + 1),
-        )
-        size = np.maximum(np.abs(l), np.abs(d))
-        big = size > 1e120
-        if np.any(big):
-            factor = np.where(big, size, 1.0)
-            l, l_prev, d, d_prev = l / factor, l_prev / factor, d / factor, d_prev / factor
-            logscale = logscale + np.log(factor)
-    return l, d, logscale
+    if n < 0:
+        raise ValueError("n >= 0 required")
+    p, d, _, logscale = _recurrence(*_hermite_coeffs(n), x)
+    lognorm = 0.5 * (n * math.log(2.0) + gammaln(n + 1))
+    return _unscaled("H_n", n, p, d, logscale + lognorm)
 
 
 def laguerre_eval(n: int, alpha: float, x):
-    """Associated Laguerre L_n^(alpha): returns (value, derivative)."""
-    x = np.asarray(x, dtype=float)
-    l, d, logscale = _laguerre_scaled(n, alpha, x)
-    scale = np.exp(logscale)
-    value, deriv = l * scale, d * scale
-    if x.ndim == 0:
-        return float(value), float(deriv)
-    return value, deriv
+    """Associated Laguerre L_n^(alpha) (alpha > -1): returns (value, derivative).
+
+    L_n^(alpha) = (-1)^n sqrt(Gamma(n+alpha+1) / (n! Gamma(alpha+1))) p_n,
+    with p_n from the orthonormal recurrence.
+    """
+    if n < 0:
+        raise ValueError("n >= 0 required")
+    p, d, _, logscale = _recurrence(*_laguerre_coeffs(n, alpha), x)
+    lognorm = 0.5 * (gammaln(n + alpha + 1) - gammaln(n + 1) - gammaln(alpha + 1))
+    sign = (-1) ** n
+    return _unscaled("L_n", n, sign * p, sign * d, logscale + lognorm)
 
 
 def _polish(f, z):
@@ -131,105 +140,66 @@ def _polish(f, z):
     return z
 
 
+def _zeros(a, b):
+    """Zeros of p_n, n = len(a) - 1: Jacobi-matrix eigenvalues, polished."""
+    n = len(a) - 1
+    jac = np.diag(a[:n]) + np.diag(b[1:n], 1) + np.diag(b[1:n], -1)
+    guess = np.linalg.eigvalsh(jac)
+    return np.sort(_polish(lambda t: _recurrence(a, b, t)[:2], guess))
+
+
 def hermite_zeros(n: int) -> PolyZeros:
     """All n real zeros of H_n, ascending."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n == 1:
-        return PolyZeros(HERMITE, 1, None, np.array([0.0]))
-    off = np.sqrt(np.arange(1, n) / 2.0)  # monic recurrence p_{k+1}=x p_k-(k/2)p_{k-1}
-    jac = np.diag(off, 1) + np.diag(off, -1)
-    guess = np.sort(np.linalg.eigvalsh(jac))
-
-    def scaled(t):
-        h, h_prev, _ = _hermite_scaled(n, t)
-        return h, 2 * n * h_prev
-
-    zeros = _polish(scaled, guess)
-    return PolyZeros(HERMITE, n, None, np.sort(zeros))
+    return PolyZeros(HERMITE, n, None, _zeros(*_hermite_coeffs(n)))
 
 
 def laguerre_zeros(n: int, alpha: float) -> PolyZeros:
     """All n zeros of L_n^(alpha) (alpha > -1), ascending, all positive."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if alpha <= -1:
-        raise ValueError("alpha > -1 required")
-    if n == 1:
-        return PolyZeros(LAGUERRE, 1, alpha, np.array([alpha + 1.0]))
-    k = np.arange(n)
-    diag = 2 * k + alpha + 1
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    guess = np.sort(np.linalg.eigvalsh(jac))
-    zeros = _polish(lambda t: _laguerre_scaled(n, alpha, t)[:2], guess)
-    return PolyZeros(LAGUERRE, n, alpha, np.sort(zeros))
-
-
-def _logsign(scaled):
-    """(log|p|, sign p) from a scaled recurrence's (value, _, logscale);
-    -inf where p is 0."""
-    value, _, logscale = scaled
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(value)) + logscale, np.sign(value)
-
-
-def _signed_sum(terms):
-    """(bracket, top) with sum of sign e^logmag over terms = bracket e^top.
-
-    terms are (logmag, sign) pairs; top is their largest finite logmag, so
-    sums of factorially large polynomial products stay in range.
-    """
-    top = np.maximum.reduce([logmag for logmag, _ in terms])
-    top = np.where(np.isfinite(top), top, 0.0)
-    return sum(sign * np.exp(logmag - top) for logmag, sign in terms), top
+    return PolyZeros(LAGUERRE, n, alpha, _zeros(*_laguerre_coeffs(n, alpha)))
 
 
 def density_a_exact(n: int, t: float, y):
     """Exact one-point particle density for the beta=2 type-A process.
 
-    sigma_N(y, t) = e^{-y^2/2t} / (2^N (N-1)! sqrt(2 pi t))
-                    * [H_N(u)^2 - H_{N+1}(u) H_{N-1}(u)],  u = y / sqrt(2t).
-    Integrates to N over the real line.  Combined in log-magnitude + sign
-    space: the bracket mixes factorially large Hermite values at large N.
+    sigma_N(y, t) = sum_{k<N} h_k(u)^2 / sqrt(2t),  u = y / sqrt(2t),
+    over the orthonormal Hermite functions h_k; by Christoffel-Darboux this
+    equals e^{-y^2/2t} / (2^N (N-1)! sqrt(2 pi t))
+                    * [H_N(u)^2 - H_{N+1}(u) H_{N-1}(u)].
+    Integrates to N over the real line.  Summed as squares along the
+    recurrence, so unlike the bracket it has no cancellation.
     """
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if t <= 0:
         raise ValueError("t > 0 required")
     y = np.asarray(y, dtype=float)
     u = y / math.sqrt(2 * t)
-    ln_n, sn_n = _logsign(_hermite_scaled(n, u))
-    ln_p, sn_p = _logsign(_hermite_scaled(n + 1, u))
-    ln_m, sn_m = _logsign(_hermite_scaled(n - 1, u))
-    bracket, top = _signed_sum([(2 * ln_n, 1.0), (ln_p + ln_m, -sn_p * sn_m)])
-    lognorm = n * math.log(2.0) + gammaln(n) + 0.5 * math.log(2 * math.pi * t)
-    dens = np.maximum(bracket, 0.0) * np.exp(top - u * u - lognorm)
+    _, _, total, logscale = _recurrence(*_hermite_coeffs(n), u)
+    dens = np.exp(np.log(total) + 2 * logscale - u * u - 0.5 * math.log(2 * math.pi * t))
     return float(dens) if dens.ndim == 0 else dens
 
 
 def density_b_exact(n: int, nu: float, t: float, y):
     """Exact one-point density for the beta=2 type-B process started at 0.
 
+    sum_{k<N} l_k(u)^2 du/dy,  u = y^2 / 2t, over the orthonormal Laguerre
+    functions l_k (parameter nu); by Christoffel-Darboux this equals
     (N!/Gamma(nu+N)) { N [L_N(u)]^2 + L_N L_{N-1} - (N+1) L_{N+1} L_{N-1} }
-        * (2/y) u^nu e^{-u},   u = y^2 / 2t,  Laguerre parameter nu.
-    Integrates to N on (0, inf).  Combined in log-magnitude + sign space,
-    as in `density_a_exact`.
+        * (2/y) u^nu e^{-u}.
+    Integrates to N on (0, inf).  Summed as squares, as in `density_a_exact`.
     """
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if t <= 0:
         raise ValueError("t > 0 required")
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("y > 0 required")
     u = y * y / (2 * t)
-    ln_n, sn_n = _logsign(_laguerre_scaled(n, nu, u))
-    ln_m, sn_m = _logsign(_laguerre_scaled(n - 1, nu, u))
-    ln_p, sn_p = _logsign(_laguerre_scaled(n + 1, nu, u))
-    bracket, top = _signed_sum([
-        (math.log(n) + 2 * ln_n, 1.0),
-        (ln_n + ln_m, sn_n * sn_m),
-        (math.log(n + 1) + ln_p + ln_m, -sn_p * sn_m),
-    ])
-    logpref = gammaln(n + 1) - gammaln(nu + n)
-    dens = np.maximum(bracket, 0.0) * np.exp(
-        top + logpref + nu * np.log(u) - u + np.log(2.0) - np.log(y)
-    )
+    _, _, total, logscale = _recurrence(*_laguerre_coeffs(n, nu), u)
+    dens = np.exp(np.log(total) + 2 * logscale + xlogy(nu, u) - u - gammaln(nu + 1)) * y / t
     return float(dens) if dens.ndim == 0 else dens

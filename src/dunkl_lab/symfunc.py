@@ -64,7 +64,11 @@ def conjugate(lam: Partition) -> Partition:
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """True iff |mu| = |lam| and prefix sums of mu never exceed those of lam."""
-    mu, lam = _check_partition(mu), _check_partition(lam)
+    return _dominated(_check_partition(mu), _check_partition(lam))
+
+
+def _dominated(mu: Partition, lam: Partition) -> bool:
+    """dominance_leq on partitions already known to be valid."""
     if sum(mu) != sum(lam):
         return False
     acc_m = acc_l = 0
@@ -328,7 +332,7 @@ def jack_coeffs(lam: Partition, alpha: float, n_vars: int) -> SymPoly:
         raise ValueError("partition longer than variable count")
     weight = sum(lam)
     # reverse-lex descending order is a linear extension of dominance
-    chain = [mu for mu in _partitions(weight, n_vars) if dominance_leq(mu, lam)]
+    chain = [mu for mu in _partitions(weight, n_vars) if _dominated(mu, lam)]
 
     def eigen(mu):
         t1, diag_e, _ = _operator_column(mu, n_vars)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 from scipy.special import gammaln, roots_genlaguerre, roots_hermite
 
 from dunkl_lab.orthopoly import (
@@ -36,6 +36,20 @@ def test_laguerre_eval_values():
     v0, _ = laguerre_eval(3, a, 0.0)
     assert v0 == pytest.approx(
         math.gamma(4 + a) / (math.gamma(1 + a) * math.factorial(3)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hermite_eval(-1, 0.5), ValueError, "n >= 0"),
+    (lambda: laguerre_eval(-1, 0.5, 0.5), ValueError, "n >= 0"),
+    (lambda: laguerre_eval(2, -1.5, 0.5), ValueError, "alpha > -1"),
+    # H_1000(44) and L_1000^(1)(3000) exceed the largest double
+    (lambda: hermite_eval(1000, 44.0), FloatingPointError, "n=1000"),
+    (lambda: laguerre_eval(1000, 1.0, 3000.0), FloatingPointError, "n=1000"),
+], ids=["hermite_negative_n", "laguerre_negative_n", "laguerre_alpha",
+        "hermite_overflow", "laguerre_overflow"])
+def test_eval_rejects_out_of_range(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 25, 40, 300, 1000])
@@ -102,6 +116,8 @@ def test_density_a_exact_values():
     # N=3 center value 1.5/sqrt(2 pi)
     assert density_a_exact(3, 1.0, np.array([0.0]))[0] == pytest.approx(
         1.5 / math.sqrt(2 * math.pi))
+    with pytest.raises(ValueError, match="n >= 1 required"):
+        density_a_exact(0, t, y)
 
 
 def test_density_a_symmetry():
@@ -126,6 +142,8 @@ def test_density_b_exact_values():
     u = y * y / (2 * t)
     expected = (2 / y) * u ** (nu + 1) * np.exp(-u) / math.gamma(nu + 1)
     assert np.allclose(density_b_exact(1, nu, t, y), expected, rtol=1e-12)
+    with pytest.raises(ValueError, match="n >= 1 required"):
+        density_b_exact(0, nu, t, y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
@@ -165,9 +183,28 @@ def test_density_b_exact_large_n_matches_direct_sum(nu):
     assert np.max(np.abs(dens - ref)) <= 1e-9 * np.max(ref)
 
 
+@pytest.mark.parametrize("n", [400, 1000])
+@pytest.mark.parametrize("nu", [None, 0.5, 2.5])
+def test_density_mass_large_n(n, nu):
+    # trapezoid mass out to 1.3x the spectral edge, type A (nu None) or B;
+    # the density is analytic and negligible past the edge, so the rule is
+    # accurate far below the tolerance
+    t = 1.1
+    if nu is None:
+        edge = 2.0 * math.sqrt(n * t)
+        y = np.linspace(-1.3 * edge, 1.3 * edge, 40001)
+        dens = density_a_exact(n, t, y)
+    else:
+        edge = math.sqrt(2.0 * t * (4 * n + 2 * nu + 2))
+        y = np.linspace(0.0, 1.3 * edge, 40001)
+        dens = np.concatenate([[0.0], density_b_exact(n, nu, t, y[1:])])
+    assert np.all(np.isfinite(dens)) and np.all(dens >= 0)
+    assert trapezoid(dens, y) == pytest.approx(n, rel=1e-9)
+
+
 def test_density_nonnegative_large_n():
     # the bracket combinations suffer cancellation at large argument; the
-    # log-magnitude evaluation must stay nonnegative out in the tails
+    # density must stay nonnegative out in the tails
     y = np.linspace(-12, 12, 401)
     assert np.all(density_a_exact(7, 0.5, y) >= 0)
     yb = np.linspace(1e-3, 12, 301)
