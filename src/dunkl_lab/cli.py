@@ -3,7 +3,8 @@
 Subcommands:
   simulate    integrate the particle SDE ensemble and emit a density CSV
   fekete      solve for the log-gas equilibrium configuration (JSON)
-  verify      run the built-in verification suites (JSON, exit 1 on failure)
+  verify      run the check suites of `checks.SUITES` at small sizes (JSON
+              records {name, value, tol, passed, seconds}; exit 1 on failure)
   intertwine  coefficient table of the intertwined image of a monomial
 
 Every output is accompanied by a JSON manifest sufficient to re-run the
@@ -22,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__, equilibrium, intertwine, orthopoly, sde, symfunc
+from . import __version__, checks, equilibrium, intertwine, orthopoly, sde, symfunc
 from .rootsys import TYPE_A, TYPE_B, RootSystemConfig, gamma
 
 DEFAULT_SEED = 20140313
@@ -48,6 +49,17 @@ def _write_manifest(path, command, params, seed, duration):
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _emit_json(args, payload, command, params, seed, t0):
+    """Print payload, or write it to --out with its manifest."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    _write_manifest(args.out + ".manifest.json", command, params, seed, time.time() - t0)
 
 
 def _parse_bins(spec):
@@ -120,12 +132,7 @@ def cmd_fekete(args) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"error: equilibrium solver failed: {exc}", file=sys.stderr)
         return 3
-    if cfg.kind == TYPE_A:
-        oracle = orthopoly.hermite_zeros(cfg.n).zeros
-        delta = float(np.max(np.abs(report.minimizer - oracle)))
-    else:
-        oracle = np.sqrt(orthopoly.laguerre_zeros(cfg.n, cfg.nu - 0.5).zeros)
-        delta = float(np.max(np.abs(report.minimizer - oracle)))
+    oracle = checks.zero_oracle(cfg)
     payload = {
         "minimizer": report.minimizer.tolist(),
         "potential_at_min": report.potential_at_min,
@@ -135,131 +142,38 @@ def cmd_fekete(args) -> int:
         "newton_decrement": report.newton_decrement,
         "potential_evaluations": report.potential_evaluations,
         "polynomial_zero_oracle": oracle.tolist(),
-        "oracle_max_delta": delta,
+        "oracle_max_delta": float(np.max(np.abs(report.minimizer - oracle))),
         "gamma": gamma(cfg),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.out + ".manifest.json", "fekete", {
-            "type": args.type, "n": args.n, "nu": cfg.nu, "out": args.out,
-        }, None, time.time() - t0)
-    else:
-        sys.stdout.write(text)
+    _emit_json(args, payload, "fekete", {
+        "type": args.type, "n": args.n, "nu": cfg.nu, "out": args.out}, None, t0)
     return 0
-
-
-def _suite_freezing(seed):
-    checks = []
-    for kind, nus in ((TYPE_A, [None]), (TYPE_B, [0.5, 1.0])):
-        for nu in nus:
-            for n in range(1, 9):
-                cfg = RootSystemConfig(kind=kind, n=n, beta=2.0, nu=nu)
-                rep = equilibrium.peak_set(cfg)
-                res = max(rep.identity_residuals["potential_minus_constant"],
-                          rep.identity_residuals["sq_norm_minus_gamma"])
-                checks.append({
-                    "name": f"freezing_{kind}_n{n}" + (f"_nu{nu}" if nu else ""),
-                    "residual": res, "passed": res <= 1e-9,
-                })
-    return checks
-
-
-def _suite_fke(seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for kind, nu in ((TYPE_A, None), (TYPE_B, 0.5)):
-        cfg = RootSystemConfig(kind=kind, n=3, beta=2.0, nu=nu)
-        fn = lambda v, c=cfg: equilibrium.steady_state_logdensity(c, v)  # noqa: E731
-        done = 0
-        while done < 10:
-            v = np.sort(rng.uniform(0.3 if kind == TYPE_B else -2.0, 2.0, size=3))
-            if np.min(np.diff(v)) < 0.05:
-                continue
-            r = equilibrium.fke_residual(cfg, fn, v)
-            rel = float(abs(r.value)) / float(r.term_scale)
-            checks.append({"name": f"fke_{kind}_{done}", "residual": rel,
-                           "passed": bool(rel <= 1e-4)})
-            done += 1
-    return checks
-
-
-def _suite_kernel(seed, paths):
-    checks = []
-    for n in (1, 2):
-        cfg = RootSystemConfig(kind=TYPE_A, n=n, beta=2.0)
-        y = np.linspace(0.2, 0.5, n)
-        z = np.linspace(-0.4, 0.1, n)
-        lhs, rhs, se = intertwine.kernel_reproducing_check(
-            cfg, y, z, n_samples=paths, max_degree=24, seed=seed + n)
-        zscore = abs(lhs - rhs) / se
-        checks.append({"name": f"kernel_reproducing_A_n{n}", "z": zscore,
-                       "passed": zscore <= 3.0})
-    return checks
-
-
-def _suite_jack(seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for lam in [(2,), (2, 1), (3, 1), (2, 2)]:
-        x = rng.uniform(0.5, 1.5, size=4)
-        pj = symfunc.jack_eval(lam, 1.0, x)
-        ps = symfunc.schur_eval(lam, x)
-        rel = abs(pj - ps) / max(1.0, abs(ps))
-        checks.append({"name": f"jack_schur_{lam}", "residual": rel,
-                       "passed": rel <= 1e-9})
-    return checks
-
-
-def _suite_limits(seed):
-    checks = []
-    for lam in [(1,), (2,), (1, 1)]:
-        fin = symfunc.jack_to_monomial(intertwine.v_a_on_monomial(lam, 3, 1e6))
-        lim = intertwine.v_a_limit(lam, 3)
-        keys = set(fin.coeffs) | set(lim.coeffs)
-        dist = max(abs(fin.coeffs.get(k, 0.0) - lim.coeffs.get(k, 0.0))
-                   / max(abs(lim.coeffs.get(k, 0.0)), 1e-30) for k in keys)
-        checks.append({"name": f"limit_A_{lam}", "residual": dist,
-                       "passed": dist <= 1e-5})
-    return checks
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    suites = {
-        "freezing": lambda: _suite_freezing(args.seed),
-        "fke": lambda: _suite_fke(args.seed),
-        "kernel": lambda: _suite_kernel(args.seed, int(args.paths)),
-        "jack": lambda: _suite_jack(args.seed),
-        "limits": lambda: _suite_limits(args.seed),
+    sizes = {
+        "freezing": dict(ns=range(1, 9)),
+        "fke": dict(ns=(3,), seed=args.seed),
+        "kernel": dict(n_samples=int(args.paths), max_degree=24, seed=args.seed),
+        "jack": dict(degrees=(2, 3, 4), seed=args.seed),
+        "limits": dict(ns=(3,), degrees=(1, 2)),
     }
-    selected = args.suite or list(suites)
-    for name in selected:
-        if name not in suites:
-            print(f"error: unknown suite {name!r}", file=sys.stderr)
-            return 2
+    selected = args.suite or list(checks.SUITES)
     report = {}
     all_pass = True
     for name in selected:
         try:
-            checks = suites[name]()
+            records = checks.SUITES[name](**sizes[name])
         except Exception as exc:  # numeric failure, not a verification failure
             print(f"error: suite {name} aborted: {exc}", file=sys.stderr)
             return 3
-        report[name] = checks
-        all_pass &= all(c["passed"] for c in checks)
+        report[name] = records
+        all_pass &= all(r["passed"] for r in records)
     payload = {"suites": report, "all_passed": all_pass,
                "wall_clock_seconds": time.time() - t0}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.out + ".manifest.json", "verify", {
-            "suite": selected, "paths": args.paths,
-        }, args.seed, time.time() - t0)
-    else:
-        sys.stdout.write(text)
+    _emit_json(args, payload, "verify", {"suite": selected, "paths": args.paths},
+               args.seed, t0)
     return 0 if all_pass else 1
 
 
@@ -331,7 +245,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", action="append",
-                   choices=["freezing", "fke", "kernel", "jack", "limits"])
+                   choices=list(checks.SUITES))
     p.add_argument("--paths", type=float, default=2e5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=str, default="")

@@ -8,8 +8,9 @@ log-gas potentials, series kernels — is parameterized by the config
 defined here.
 
 `root_table` lists the positive roots with their multiplicities as index
-arrays, so a sum over roots is a gather and a `np.bincount`.  Type B's pair
-factor log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
+arrays, so a sum over roots is a gather and a `np.bincount` or a dot with
+the multiplicities; no dense root matrix is built.  Type B's pair factor
+log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
 """
 
 from __future__ import annotations
@@ -112,47 +113,25 @@ def _root_table(kind, n, nu):
     return RootTable(i, j, s, kappa)
 
 
-def positive_roots(cfg: RootSystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit positive roots and their multiplicities, from `root_table`.
-
-    Returns (roots, kappa) with roots of shape (n_roots, N).  Type A uses
-    e_i - e_j (i > j), multiplicity 1; type B adds the sums e_i + e_j with
-    multiplicity 1 and the coordinate roots e_i with multiplicity nu + 1/2.
-    The overall beta factor is *not* folded in here.  The dense matrix grows
-    as N^3; sums over roots use the table instead.
-    """
-    t = root_table(cfg)
-    rows = np.arange(len(t.kappa))
-    roots = np.zeros((len(rows), cfg.n))
-    roots[rows, t.j] = 1.0
-    roots[rows, t.i] += t.s
-    return roots, t.kappa.copy()
-
-
 def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:
-    """log w_beta(x); -inf where a repulsion factor vanishes.
+    """log w_beta(x) = beta sum_alpha kappa_alpha log|alpha . x|; -inf where a
+    repulsion factor vanishes.
 
     Accepts a single vector or an array of shape (..., N) (vectorized over
     leading axes).
     """
     x = np.asarray(x, dtype=float)
-    n = cfg.n
-    if x.shape[-1] != n:
+    if x.shape[-1] != cfg.n:
         raise ValueError("coordinate vector has wrong length")
-    scalar = x.ndim == 1
+    t = root_table(cfg)
+    xt = np.moveaxis(x, -1, 0)  # particle axis first, so each root gathers whole rows
+    a = xt[t.i]
+    a *= t.s.reshape((-1,) + (1,) * (x.ndim - 1))
+    a += xt[t.j]  # alpha . x, root axis first
     with np.errstate(divide="ignore"):
-        out = np.zeros(x.shape[:-1])
-        for i in range(n):
-            for j in range(i):
-                if cfg.kind == TYPE_A:
-                    out += cfg.beta * np.log(np.abs(x[..., i] - x[..., j]))
-                else:
-                    out += cfg.beta * np.log(np.abs(x[..., i] ** 2 - x[..., j] ** 2))
-        if cfg.kind == TYPE_B:
-            out += cfg.beta * (cfg.nu + 0.5) * np.log(np.abs(x)).sum(axis=-1)
-    if scalar:
-        return float(out)
-    return out
+        np.log(np.abs(a, out=a), out=a)
+    out = cfg.beta * np.tensordot(t.kappa, a, axes=1)
+    return float(out) if x.ndim == 1 else out
 
 
 def log_selberg_const(cfg: RootSystemConfig) -> float:

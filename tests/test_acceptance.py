@@ -1,20 +1,22 @@
 """End-to-end acceptance checks, one per numbered requirement.
 
 Each test prints a single PASS/FAIL line with the measured quantity so the
-suite output doubles as a run report.  Criterion 3 runs a reduced fast
-variant by default (t=20, tolerance 0.15); set DUNKL_LAB_FULL=1 for the
-full t=100 run with 10^5 paths (single-core runtime well over an hour).
+suite output doubles as a run report.  Criteria 1, 7, 8, 9 and 10 run the
+suites of `dunkl_lab.checks` (freezing, limits, jack, kernel, fke), the
+registry behind `dunkl-lab verify`, at larger sizes than verify does; their
+tolerances live there, their runtime bounds here.  Criterion 3 runs a
+reduced fast variant by default (t=20, tolerance 0.15); set
+DUNKL_LAB_FULL=1 for the full t=100 run with 10^5 paths (single-core
+runtime well over an hour).
 """
 
-import itertools
 import math
 import os
 import time
 
 import numpy as np
-import pytest
 
-from dunkl_lab import equilibrium, intertwine, orthopoly, sde, symfunc
+from dunkl_lab import checks, intertwine, orthopoly, sde, symfunc
 from dunkl_lab.rootsys import TYPE_A, TYPE_B, RootSystemConfig
 
 
@@ -23,27 +25,21 @@ def _report(k, ok, detail):
     assert ok, f"criterion {k}: {detail}"
 
 
-def test_criterion_1_freezing_identities():
+def _run_suite(k, suite, max_seconds, **sizes):
+    """Criterion k is the registry suite at the criterion's sizes, within
+    max_seconds; the line names the worst check relative to its bound."""
     t0 = time.time()
-    worst = 0.0
-    for n in range(1, 26):
-        cases = [RootSystemConfig(TYPE_A, n, 2.0)]
-        cases += [RootSystemConfig(TYPE_B, n, 2.0, nu=nu) for nu in (0.5, 1.0, 2.5)]
-        for cfg in cases:
-            rep = equilibrium.peak_set(cfg)
-            if cfg.kind == TYPE_A:
-                oracle = orthopoly.hermite_zeros(n).zeros
-            else:
-                oracle = np.sqrt(orthopoly.laguerre_zeros(n, cfg.nu - 0.5).zeros)
-            worst = max(
-                worst,
-                rep.identity_residuals["potential_minus_constant"],
-                rep.identity_residuals["sq_norm_minus_gamma"],
-                float(np.max(np.abs(rep.minimizer - oracle))),
-            )
+    records = checks.SUITES[suite](**sizes)
     dur = time.time() - t0
-    _report(1, worst <= 1e-9 and dur < 5.0,
-            f"worst residual {worst:.2e}, runtime {dur:.2f}s")
+    failed = [r["name"] for r in records if not r["passed"]]
+    worst = max(records, key=lambda r: r["value"] / r["tol"])
+    _report(k, not failed and dur < max_seconds,
+            f"{len(records)} checks, worst {worst['name']} = {worst['value']:.2e} "
+            f"(tol {worst['tol']:g}), failed {failed}, runtime {dur:.2f}s")
+
+
+def test_criterion_1_freezing_identities():
+    _run_suite(1, "freezing", 5.0, ns=range(1, 26))
 
 
 def test_criterion_2_log_discriminant_identities():
@@ -138,113 +134,19 @@ def test_criterion_6_intertwiner_closed_forms():
 
 
 def test_criterion_7_limit_convergence():
-    t0 = time.time()
-    worst = 0.0
-    for n in range(1, 5):
-        lams = [lam for k in range(1, 5) for lam in symfunc.partitions_of(k, n)]
-        for lam in lams:
-            fin = symfunc.jack_to_monomial(intertwine.v_a_on_monomial(lam, n, 1e6))
-            lim = intertwine.v_a_limit(lam, n)
-            keys = set(fin.coeffs) | set(lim.coeffs)
-            worst = max(worst, max(
-                abs(fin.coeffs.get(k, 0.0) - lim.coeffs.get(k, 0.0))
-                / max(abs(lim.coeffs.get(k, 0.0)), 1e-300) for k in keys))
-            # the type-B operator converges at the same O(1/beta) rate but
-            # with a larger constant (~16/beta at |lambda|=4, N=1), so the
-            # 1e-5 relative bound is checked at beta = 1e8 where it holds
-            # with two orders of margin
-            beta_b = 1e8
-            finb = symfunc.jack_to_monomial(
-                intertwine.v_b_on_monomial(lam, n, beta_b, 0.5))
-            scale = beta_b ** sum(lam)
-            limb = intertwine.v_b_limit_beta(lam, n, 0.5)
-            keys = set(finb.coeffs) | set(limb.coeffs)
-            worst = max(worst, max(
-                abs(scale * finb.coeffs.get(k, 0.0) - limb.coeffs.get(k, 0.0))
-                / max(abs(limb.coeffs.get(k, 0.0)), 1e-300) for k in keys))
-    # filter-product limits at beta = 1e8
-    beta = 1e8
-    alpha = 2.0 / beta
-    worst_fp = 0.0
-    for n in (2, 3, 4):
-        for d in (1, 2, 3, 4):
-            for tau in symfunc.partitions_of(d, n):
-                v = symfunc.hook_c(tau, alpha) / (
-                    symfunc.hook_c_prime(tau, alpha)
-                    * symfunc.gen_pochhammer(beta * n / 2.0, tau, alpha))
-                if len(tau) == 1:
-                    tgt = 1.0 / (n ** d * math.factorial(d))
-                    worst_fp = max(worst_fp, abs(v - tgt) / tgt)
-                else:
-                    worst_fp = max(worst_fp, abs(v))
-    dur = time.time() - t0
-    _report(7, worst <= 1e-5 and worst_fp <= 1e-6 and dur < 10.0,
-            f"worst coefficient distance {worst:.2e}, worst filter-product "
-            f"error {worst_fp:.2e}, runtime {dur:.2f}s")
+    _run_suite(7, "limits", 10.0, ns=range(1, 5), degrees=range(1, 5))
 
 
 def test_criterion_8_jack_specializations():
-    t0 = time.time()
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for k in range(1, 7):
-        for lam in symfunc.partitions_of(k, 4):
-            x = rng.uniform(0.3, 1.6, size=4)
-            pj = symfunc.jack_eval(lam, 1.0, x)
-            ps = symfunc.schur_eval(lam, x)
-            worst = max(worst, abs(pj - ps) / max(1.0, abs(ps)))
-    worst_c = max(
-        abs(symfunc.jack_coeffs((2,), a, 3).coeffs[(1, 1)] - 2.0 / (1.0 + a))
-        for a in (0.1, 1.0, 2.0, 10.0))
-    dur = time.time() - t0
-    _report(8, worst <= 1e-9 and worst_c <= 1e-12 and dur < 5.0,
-            f"worst Schur deviation {worst:.2e}, worst P_(2) coefficient "
-            f"error {worst_c:.2e}, runtime {dur:.2f}s")
+    _run_suite(8, "jack", 5.0, degrees=range(1, 7), seed=7)
 
 
 def test_criterion_9_kernel_identities():
-    t0 = time.time()
-    rng = np.random.default_rng(19)
-    worst = 0.0
-    for _ in range(3):
-        x = rng.uniform(-1.0, 1.0, size=3)
-        params = intertwine.HyperSeriesParams(alpha=1.0, n_vars=3, max_degree=30)
-        val, _ = intertwine.hyper_series(params, x, np.ones(3))
-        worst = max(worst, abs(val - math.exp(float(x.sum()))))
-    zmax = 0.0
-    for n in (1, 2):
-        cfg = RootSystemConfig(TYPE_A, n, 2.0)
-        y = np.linspace(0.2, 0.5, n)
-        z = np.linspace(-0.4, 0.1, n)
-        lhs, rhs, se = intertwine.kernel_reproducing_check(
-            cfg, y, z, n_samples=10**6, max_degree=18, seed=20140313 + n)
-        zmax = max(zmax, abs(lhs - rhs) / se)
-    dur = time.time() - t0
-    _report(9, worst <= 1e-10 and zmax <= 3.0 and dur <= 120.0,
-            f"worst exp-identity error {worst:.2e}, worst |z| {zmax:.2f}, "
-            f"runtime {dur:.0f}s")
+    _run_suite(9, "kernel", 120.0, n_samples=10**6, max_degree=18, seed=20140313)
 
 
 def test_criterion_10_fke_residual():
-    t0 = time.time()
-    rng = np.random.default_rng(37)
-    worst = 0.0
-    for kind, nu in ((TYPE_A, None), (TYPE_B, 0.5)):
-        for n in (2, 3):
-            cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
-            fn = lambda v, c=cfg: equilibrium.steady_state_logdensity(c, v)  # noqa: E731
-            done = 0
-            while done < 10:
-                v = np.sort(rng.uniform(0.3 if kind == TYPE_B else -2.0, 2.0,
-                                        size=n))
-                if n > 1 and np.min(np.diff(v)) < 0.05:
-                    continue
-                r = equilibrium.fke_residual(cfg, fn, v)
-                worst = max(worst, abs(r.value) / r.term_scale)
-                done += 1
-    dur = time.time() - t0
-    _report(10, worst <= 1e-4 and dur < 5.0,
-            f"worst relative residual {worst:.2e}, runtime {dur:.2f}s")
+    _run_suite(10, "fke", 5.0, ns=(2, 3), seed=37)
 
 
 def test_criterion_11_relaxation_bound_values():

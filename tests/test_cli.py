@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dunkl_lab import checks
 from dunkl_lab.cli import DEFAULT_SEED, build_parser, main
 
 
@@ -89,13 +90,38 @@ def test_simulate_numeric_failure_exit_3(tmp_path):
 
 def test_verify_selected_suites(tmp_path):
     out = tmp_path / "report.json"
-    rc = main(["verify", "--suite", "jack", "--suite", "limits",
-               "--out", str(out)])
+    suites = ["freezing", "fke", "jack", "limits"]
+    rc = main(["verify"] + [a for s in suites for a in ("--suite", s)] + ["--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
-    assert set(payload["suites"]) == {"jack", "limits"}
-    assert all(c["passed"] for cs in payload["suites"].values() for c in cs)
+    assert set(payload["suites"]) == set(suites)
+    for r in (r for records in payload["suites"].values() for r in records):
+        assert set(r) == {"name", "value", "tol", "passed", "seconds"}
+        assert r["passed"] is True and r["value"] <= r["tol"] and r["seconds"] >= 0.0
+
+
+def test_verify_failing_record_exits_1(monkeypatch, capsys):
+    record = {"name": "x", "value": 2.0, "tol": 1.0, "passed": False, "seconds": 0.0}
+    monkeypatch.setitem(checks.SUITES, "jack", lambda **sizes: [record])
+    assert main(["verify", "--suite", "jack", "--suite", "limits"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["all_passed"] is False
+    assert payload["suites"]["jack"] == [record]
+
+
+def test_verify_raising_suite_exits_3(monkeypatch, capsys):
+    def boom(**sizes):
+        raise FloatingPointError("overflow")
+    monkeypatch.setitem(checks.SUITES, "limits", boom)
+    assert main(["verify", "--suite", "limits"]) == 3
+    assert "suite limits aborted: overflow" in capsys.readouterr().err
+
+
+def test_verify_suite_choices_are_the_registry():
+    sub = build_parser()._subparsers._group_actions[0].choices["verify"]
+    (suite,) = [a for a in sub._actions if a.dest == "suite"]
+    assert list(suite.choices) == list(checks.SUITES)
 
 
 def test_intertwine_stdout_matches_closed_form(capsys):

@@ -172,8 +172,8 @@ def _density_b_by_sum(n, nu, t, y):
 
 @pytest.mark.parametrize("nu", [0.5, 2.5])
 def test_density_b_exact_large_n_matches_direct_sum(nu):
-    # at N = 150 the Laguerre values overflow a double; the bracket is
-    # combined in log-magnitude + sign space
+    # at N = 150 the Laguerre values overflow a double; the density sums
+    # the squared orthonormal values, rescaled with their log scale
     n, t = 150, 1.3
     edge = math.sqrt(2.0 * t * (4 * n + 2 * nu + 2))
     y = np.linspace(1.2 * edge / 2001, 1.2 * edge, 2001)

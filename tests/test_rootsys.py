@@ -16,7 +16,6 @@ from dunkl_lab.rootsys import (
     in_weyl_chamber,
     log_selberg_const,
     log_weight,
-    positive_roots,
     rank,
     root_table,
 )
@@ -48,9 +47,18 @@ def test_rank_and_gamma():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gamma_equals_multiplicity_sum(kind, nu, n):
     cfg = RootSystemConfig(kind, n, 1.7, nu=nu)
-    roots, kappas = positive_roots(cfg)
+    roots, kappas = _dense_roots(cfg)
     assert roots.shape == (len(kappas), n)
     assert abs(gamma(cfg) - float(np.sum(kappas))) < 1e-12
+
+
+def _dense_roots(cfg):
+    # the table as a dense (n_roots, N) root matrix and its multiplicities
+    t = root_table(cfg)
+    roots = np.zeros((len(t.kappa), cfg.n))
+    roots[np.arange(len(t.kappa)), t.j] = 1.0
+    roots[np.arange(len(t.kappa)), t.i] += t.s
+    return roots, t.kappa
 
 
 def _positive_roots_by_loop(cfg):
@@ -78,18 +86,18 @@ def _positive_roots_by_loop(cfg):
 
 
 def test_positive_roots_hand_listed():
-    roots, kappas = positive_roots(RootSystemConfig(TYPE_A, 3, 2.0))
+    roots, kappas = _dense_roots(RootSystemConfig(TYPE_A, 3, 2.0))
     assert np.array_equal(roots, [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     assert np.array_equal(kappas, [1, 1, 1])
-    roots, kappas = positive_roots(RootSystemConfig(TYPE_B, 2, 2.0, nu=1.5))
+    roots, kappas = _dense_roots(RootSystemConfig(TYPE_B, 2, 2.0, nu=1.5))
     assert np.array_equal(roots, [[-1, 1], [1, 1], [1, 0], [0, 1]])
     assert np.array_equal(kappas, [1, 1, 2, 2])
-    roots, kappas = positive_roots(RootSystemConfig(TYPE_A, 1, 2.0))
+    roots, kappas = _dense_roots(RootSystemConfig(TYPE_A, 1, 2.0))
     assert roots.shape == (0, 1) and kappas.shape == (0,)
     for kind, nu in ((TYPE_A, None), (TYPE_B, 0.0), (TYPE_B, 2.5)):
         for n in range(1, 7):
             cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
-            roots, kappas = positive_roots(cfg)
+            roots, kappas = _dense_roots(cfg)
             ref_roots, ref_kappas = _positive_roots_by_loop(cfg)
             assert np.array_equal(roots, ref_roots)
             assert np.array_equal(kappas, ref_kappas)
@@ -101,7 +109,7 @@ def test_root_table_is_cached_and_read_only():
     assert root_table(RootSystemConfig(TYPE_B, 4, 7.0, nu=0.5)) is t  # beta is not in the key
     assert root_table(RootSystemConfig(TYPE_B, 4, 2.0, nu=1.5)) is not t
     v = np.array([0.3, 0.7, 1.1, 2.0])
-    roots, _ = positive_roots(cfg)
+    roots, _ = _dense_roots(cfg)
     assert np.array_equal(t.dot(v), roots @ v)
     with pytest.raises(ValueError):
         t.kappa[0] = 0.0
@@ -157,6 +165,16 @@ def test_log_weight_batched():
     out = log_weight(cfg, pts)
     assert out.shape == (2,)
     assert out[1] == pytest.approx(2 * math.log(2.0))
+    # leading axes of any shape; a wall gives -inf inside a batch
+    cfgb = RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5)
+    pts = np.random.default_rng(3).normal(size=(4, 5, 3))
+    pts[1, 2, 0] = 0.0
+    out = log_weight(cfgb, pts)
+    assert out.shape == (4, 5) and out[1, 2] == NEG_INF
+    x = pts[3, 4]  # |x1 x2 x3|^2 prod_{i<j} (x_j^2 - x_i^2)^2 at beta = 2, nu = 1/2
+    ref = math.log(x.prod() ** 2 * np.prod([(x[j] ** 2 - x[i] ** 2) ** 2 for j, i in
+                                            ((1, 0), (2, 0), (2, 1))]))
+    assert out[3, 4] == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
 
 
 def test_selberg_constant_n1():
