@@ -103,8 +103,9 @@ def jack(degrees, seed):
 
 def kernel(n_samples, max_degree, seed):
     """exp(sum x) = 0F0(x; 1) at alpha = 1, degree 30, at three fixed random
-    points of [-1, 1]^3; then the reproducing identity at type A, beta = 2,
-    N = 1 and 2, with the Gaussian-weight sampler seeded seed + N."""
+    points of [-1, 1]^3; then the reproducing identity at beta = 2 for type A
+    at N = 1 and 2 and for type B (nu = 0.5) at N = 2, with the Gaussian-weight
+    sampler seeded seed + N."""
     out = []
     rng = np.random.default_rng(19)
     params = intertwine.HyperSeriesParams(alpha=1.0, n_vars=3, max_degree=30)
@@ -114,13 +115,15 @@ def kernel(n_samples, max_degree, seed):
         val, _ = intertwine.hyper_series(params, x, np.ones(3))
         out.append(_record(f"exp_identity_{k}", abs(val - math.exp(float(x.sum()))),
                            1e-10, t0))
-    for n in (1, 2):
+    cases = [(RootSystemConfig(TYPE_A, n, 2.0), np.linspace(-0.4, 0.1, n)) for n in (1, 2)]
+    cases.append((RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5), np.linspace(0.1, 0.4, 2)))
+    for cfg, z in cases:
         t0 = time.perf_counter()
         lhs, rhs, se = intertwine.kernel_reproducing_check(
-            RootSystemConfig(TYPE_A, n, 2.0), np.linspace(0.2, 0.5, n),
-            np.linspace(-0.4, 0.1, n), n_samples=n_samples, max_degree=max_degree,
-            seed=seed + n)
-        out.append(_record(f"kernel_reproducing_A_n{n}", abs(lhs - rhs) / se, 3.0, t0))
+            cfg, np.linspace(0.2, 0.5, cfg.n), z, n_samples=n_samples,
+            max_degree=max_degree, seed=seed + cfg.n)
+        out.append(_record(f"kernel_reproducing_{cfg.kind}_n{cfg.n}", abs(lhs - rhs) / se,
+                           3.0, t0))
     return out
 
 

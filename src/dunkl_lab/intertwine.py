@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import symfunc
-from .equilibrium import peak_set, weyl_order
+from .equilibrium import weyl_order
 from .rootsys import (
     TYPE_A,
     TYPE_B,
@@ -84,6 +84,12 @@ def _bessel_b_param(cfg):
 # operators on monomial symmetric polynomials
 # ---------------------------------------------------------------------------
 
+def _tau_weight(tau, alpha, n, b):
+    """c_tau / c'_tau / ((N/alpha)_tau [(b)_tau]); the bracket only when b is set."""
+    w = hook_c(tau, alpha) / hook_c_prime(tau, alpha) / gen_pochhammer(n / alpha, tau, alpha)
+    return w if b is None else w / gen_pochhammer(b, tau, alpha)
+
+
 def v_a_on_monomial(lam, n_vars: int, beta: float) -> SymPoly:
     """Intertwined image of m_lambda for the type-A system, Jack(2/beta) basis.
 
@@ -99,10 +105,8 @@ def v_a_on_monomial(lam, n_vars: int, beta: float) -> SymPoly:
     coeffs = {}
     for tau in partitions_of(sum(lam), n_vars):
         u = jack_coeffs(tau, alpha, n_vars).coeffs.get(lam, 0.0)
-        if u == 0.0:
-            continue
-        poch = gen_pochhammer(beta * n_vars / 2.0, tau, alpha)
-        coeffs[tau] = pref * hook_c(tau, alpha) / hook_c_prime(tau, alpha) * u / poch
+        if u != 0.0:
+            coeffs[tau] = pref * _tau_weight(tau, alpha, n_vars, None) * u
     return SymPoly("jack", coeffs, n_vars, alpha=alpha)
 
 
@@ -116,7 +120,7 @@ def v_b_on_monomial(lam, n_vars: int, beta: float, nu: float) -> SymPoly:
     if beta < 1 or nu < 0:
         raise ValueError("type B requires beta >= 1 and nu >= 0")
     alpha = 2.0 / beta
-    b = beta * (nu + n_vars - 0.5) / 2.0 + 0.5
+    b = _bessel_b_param(RootSystemConfig(TYPE_B, n_vars, beta, nu=nu))
     pref = (
         _fact_partition(tuple(2 * p for p in lam))
         * multinomial_m(lam, n_vars)
@@ -125,10 +129,8 @@ def v_b_on_monomial(lam, n_vars: int, beta: float, nu: float) -> SymPoly:
     coeffs = {}
     for tau in partitions_of(sum(lam), n_vars):
         u = jack_coeffs(tau, alpha, n_vars).coeffs.get(lam, 0.0)
-        if u == 0.0:
-            continue
-        poch = gen_pochhammer(beta * n_vars / 2.0, tau, alpha) * gen_pochhammer(b, tau, alpha)
-        coeffs[tau] = pref * hook_c(tau, alpha) / hook_c_prime(tau, alpha) * u / poch
+        if u != 0.0:
+            coeffs[tau] = pref * _tau_weight(tau, alpha, n_vars, b) * u
     return SymPoly("jack", coeffs, n_vars, alpha=alpha)
 
 
@@ -207,15 +209,17 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
 
     shell_d = sum over |tau| = d of
         (c_tau / c'_tau) P_tau(x) P_tau(y) / ((N/alpha)_tau [(b)_tau]).
-    Each shell makes one pass on each side: m_mu(x) is evaluated once per
-    partition mu of d, every P_tau(x) is formed from those values, and the
-    tau sum is collapsed to monomial coefficients in y, each m_mu(y)
-    evaluated once.  x is a single point.
+    x is one point (N,) or a stack of k points (k, N); the shells have shape
+    (D+1,) + ybatch.shape[:-1], with a k axis after the degree axis for a
+    stack.  Each shell makes one pass on each side: m_mu(x) is evaluated once
+    per partition mu of d, every P_tau(x) is formed from those values, and
+    the tau sum is collapsed to monomial coefficients in y (one per x point),
+    so each m_mu(y) is evaluated once for all x points.
     """
     alpha, n, b = params.alpha, params.n_vars, params.b
     x = np.asarray(x, dtype=float)
     ybatch = np.asarray(ybatch, dtype=float)
-    shells = np.zeros((params.max_degree + 1,) + ybatch.shape[:-1])
+    shells = np.zeros((params.max_degree + 1,) + x.shape[:-1] + ybatch.shape[:-1])
     for d in range(params.max_degree + 1):
         taus = partitions_of(d, n)
         m_x = {mu: symfunc.monomial_eval(mu, x) for mu in taus}
@@ -223,19 +227,13 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
         for tau in taus:
             jack = jack_coeffs(tau, alpha, n)
             p_x = sum(c * m_x[mu] for mu, c in jack.coeffs.items())
-            w = hook_c(tau, alpha) / hook_c_prime(tau, alpha)
-            w /= gen_pochhammer(n / alpha, tau, alpha)
-            if b is not None:
-                w /= gen_pochhammer(b, tau, alpha)
-            w *= p_x
-            if w == 0.0:
+            w = _tau_weight(tau, alpha, n, b) * p_x
+            if not np.any(w):
                 continue
             for mu, c in jack.coeffs.items():
                 mu_coeffs[mu] = mu_coeffs.get(mu, 0.0) + w * c
-        val = np.zeros(ybatch.shape[:-1])
         for mu, c in mu_coeffs.items():
-            val = val + c * symfunc.monomial_eval(mu, ybatch)
-        shells[d] = val
+            shells[d] += np.multiply.outer(c, symfunc.monomial_eval(mu, ybatch))
     return shells
 
 
@@ -349,50 +347,42 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
 # Gaussian-weight sampling and the kernel-reproducing Monte Carlo check
 # ---------------------------------------------------------------------------
 
-_ENVELOPE_VAR = 2.0
+def sample_gaussian_weight(cfg: RootSystemConfig, n_samples: int, seed: int) -> np.ndarray:
+    """Exact samples of e^{-|x|^2/2} w_beta(x) / c_beta folded into the Weyl
+    chamber (each row ascending), from the Dumitriu-Edelman beta-ensembles
+    (J. Math. Phys. 43 (2002) 5830), all through one batched eigvalsh:
 
+    Type A: eigenvalues of the tridiagonal Hermite model, diagonal N(0, 1),
+    off-diagonal k = 1..N-1 sqrt(chi^2_{beta(N-k)} / 2).
+    Type B: square roots of the eigenvalues of B B^T, B lower bidiagonal with
+    diagonal chi_{2a - beta i} (i = 0..N-1, a = _bessel_b_param(cfg)) and
+    subdiagonal k = 1..N-1 chi_{beta(N-k)} (the Laguerre model in x^2).
 
-def _log_envelope_bound(cfg):
-    """Tight bound on log[e^{-x^2/2} w(x)] - log[e^{-x^2/4}] over R^N.
-
-    By homogeneity the maximum over directions is attained at the Fekete
-    direction and the radial maximum is explicit: r*^2 = 2 beta gamma.
+    The symmetrized kernel is W-invariant in each argument, so kernel
+    expectations such as kernel_reproducing_check are exact under the
+    folded law.
     """
-    g = gamma(cfg)
-    if g == 0.0:
-        return 0.0
-    bg = cfg.beta * g
-    vstar = peak_set(cfg).minimizer
-    return (
-        bg / 2.0 * math.log(2.0 * bg)
-        - bg / 2.0
-        + log_weight(cfg, vstar)
-        - bg / 2.0 * math.log(g)
-    )
-
-
-def sample_gaussian_weight(cfg: RootSystemConfig, n_samples: int, seed: int,
-                           min_acceptance: float = 1e-3) -> np.ndarray:
-    """Exact samples from the density e^{-|x|^2/2} w_beta(x) / c_beta on R^N
-    by rejection from a centered Gaussian envelope with variance 2."""
-    log_m = _log_envelope_bound(cfg)
+    n = cfg.n
     rng = Generator(Philox(key=int(seed)))
-    out = []
-    got, drawn = 0, 0
-    batch = max(4096, min(1 << 17, 4 * n_samples))
-    while got < n_samples:
-        x = rng.normal(scale=math.sqrt(_ENVELOPE_VAR), size=(batch, cfg.n))
-        log_ratio = -0.25 * np.einsum("ij,ij->i", x, x) + log_weight(cfg, x) - log_m
-        keep = np.log(rng.random(batch)) < log_ratio
-        drawn += batch
-        acc = x[keep]
-        out.append(acc)
-        got += len(acc)
-        if drawn >= 10 * batch and got / drawn < min_acceptance:
-            raise RuntimeError(
-                "rejection acceptance below 1e-3; reduce beta or N"
-            )
-    return np.concatenate(out, axis=0)[:n_samples]
+    df = cfg.beta * np.arange(n - 1, 0, -1)
+    if cfg.kind == TYPE_A:
+        diag = rng.standard_normal((n_samples, n))
+        off = np.sqrt(rng.chisquare(df, size=(n_samples, n - 1)) / 2.0)
+    else:
+        d = np.sqrt(rng.chisquare(2.0 * _bessel_b_param(cfg) - cfg.beta * np.arange(n),
+                                  size=(n_samples, n)))
+        e = np.sqrt(rng.chisquare(df, size=(n_samples, n - 1)))
+        # B B^T is tridiagonal: d_i^2 + e_i^2 on the diagonal, e_{i+1} d_i below
+        diag = d * d
+        diag[:, 1:] += e * e
+        off = e * d[:, :-1]
+    # eigvalsh reads only the lower triangle
+    t = np.zeros((n_samples, n, n))
+    idx = np.arange(n)
+    t[:, idx, idx] = diag
+    t[:, idx[1:], idx[:-1]] = off
+    lam = np.linalg.eigvalsh(t)
+    return lam if cfg.kind == TYPE_A else np.sqrt(np.maximum(lam, 0.0))
 
 
 def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
@@ -403,19 +393,20 @@ def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
         (1/c_beta) int K(x,y) K(x,z) e^{-|x|^2/2} w(x) dx
             = |W| e^{(|y|^2+|z|^2)/2} K(y, z).
 
+    K(., y) and K(., z) come from one series pass over each chunk of samples.
     Returns (lhs_estimate, rhs_value, std_error).
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     xs = sample_gaussian_weight(cfg, n_samples, seed)
+    yz = np.stack([y, z])
     vals = np.empty(n_samples)
     step = 1 << 16
     for lo in range(0, n_samples, step):
         chunk = xs[lo:lo + step]
-        vals[lo:lo + len(chunk)] = (
-            bessel_kernel(cfg, y, chunk, max_degree=max_degree)
-            * bessel_kernel(cfg, z, chunk, max_degree=max_degree)
-        )
+        pref, shells = _kernel_shells(cfg, yz, chunk, max_degree)
+        k_y, k_z = pref * shells.sum(axis=0)
+        vals[lo:lo + len(chunk)] = k_y * k_z
     lhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     rhs = (

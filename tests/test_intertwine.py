@@ -294,8 +294,7 @@ def test_transition_density_marginal_matches_exact_density():
 
 
 def test_sample_gaussian_weight_moments():
-    # for type A N=2 beta=2 (GUE x sqrt2 law): E|x|^2 = N + 2 gamma... check
-    # against quadrature of the unnormalized density instead of a guess
+    # type A N=2 beta=2 against quadrature of the unnormalized density
     cfg = RootSystemConfig(TYPE_A, 2, 2.0)
     xs = sample_gaussian_weight(cfg, 40000, seed=3)
     assert xs.shape == (40000, 2)
@@ -307,6 +306,60 @@ def test_sample_gaussian_weight_moments():
                   -9, 9, lambda x: x, lambda x: 9)[0]
     got = float(np.einsum("ij,ij->i", xs, xs).mean())
     assert got == pytest.approx(num / den, rel=0.03)
+    # w is homogeneous of degree beta gamma, so E|x|^2 = N + beta gamma exactly;
+    # these sizes and betas are past where a Gaussian-envelope rejection
+    # sampler's acceptance collapses
+    for cfg in (RootSystemConfig(TYPE_A, 3, 8.0), RootSystemConfig(TYPE_A, 7, 2.0),
+                RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5),
+                RootSystemConfig(TYPE_B, 4, 5.0, nu=2.5)):
+        xs = sample_gaussian_weight(cfg, 200000, seed=11)
+        r2 = np.einsum("ij,ij->i", xs, xs)
+        se = r2.std(ddof=1) / math.sqrt(len(r2))
+        exact = cfg.n + cfg.beta * gamma(cfg)
+        assert abs(r2.mean() - exact) <= 4 * se, (cfg, r2.mean(), exact, se)
+
+
+def _bin_integrals(density, edges):
+    """Integral of density over each bin by 8-point Gauss-Legendre."""
+    g, gw = np.polynomial.legendre.leggauss(8)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    pts = (lo + hi) / 2 + (hi - lo) / 2 * g
+    return (density(pts.ravel()).reshape(pts.shape) * gw).sum(axis=1) * (hi - lo)[:, 0] / 2
+
+
+@pytest.mark.parametrize("cfg, lo, hi", [
+    (RootSystemConfig(TYPE_A, 3, 2.0), -5.0, 5.0),
+    (RootSystemConfig(TYPE_B, 4, 2.0, nu=0.5), 1e-9, 6.5),
+], ids=["A3", "B4_nu0.5"])
+def test_sample_gaussian_weight_beta2_histogram(cfg, lo, hi):
+    # at beta = 2 every particle position, pooled, has the exact one-point
+    # density at t = 1; compare 40 bin counts with the density's bin
+    # integrals (midpoint values would bias the tails by many sigma)
+    from dunkl_lab.orthopoly import density_a_exact, density_b_exact
+    n_samples = 200000
+    xs = sample_gaussian_weight(cfg, n_samples, seed=12)
+    edges = np.linspace(lo, hi, 41)
+    obs, _ = np.histogram(xs, edges)
+    if cfg.kind == TYPE_A:
+        exp = n_samples * _bin_integrals(lambda y: density_a_exact(cfg.n, 1.0, y), edges)
+    else:
+        exp = n_samples * _bin_integrals(
+            lambda y: density_b_exact(cfg.n, cfg.nu, 1.0, y), edges)
+    assert exp.min() > 20
+    chi2_dof = float(((obs - exp) ** 2 / exp).sum()) / len(exp)
+    assert chi2_dof < 2.0, chi2_dof
+
+
+def test_series_shells_stacked_points_match_single_points():
+    rng = np.random.default_rng(8)
+    ys = rng.uniform(-0.8, 0.8, size=(500, 3))
+    xs = rng.uniform(-0.8, 0.8, size=(2, 3))
+    for b in (None, 2.3):
+        params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=12, b=b)
+        stacked = intertwine._series_shells(params, xs, ys)
+        assert stacked.shape == (13, 2, 500)
+        for k in range(2):
+            assert np.array_equal(stacked[:, k], intertwine._series_shells(params, xs[k], ys))
 
 
 def test_kernel_reproducing_small_sample():
