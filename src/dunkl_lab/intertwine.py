@@ -347,6 +347,10 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
 # Gaussian-weight sampling and the kernel-reproducing Monte Carlo check
 # ---------------------------------------------------------------------------
 
+#: float64 entries in one block of dense matrices handed to eigvalsh (2 MB)
+_EIG_BLOCK_ENTRIES = 1 << 18
+
+
 def sample_gaussian_weight(cfg: RootSystemConfig, n_samples: int, seed: int) -> np.ndarray:
     """Exact samples of e^{-|x|^2/2} w_beta(x) / c_beta folded into the Weyl
     chamber (each row ascending), from the Dumitriu-Edelman beta-ensembles
@@ -376,13 +380,18 @@ def sample_gaussian_weight(cfg: RootSystemConfig, n_samples: int, seed: int) -> 
         diag = d * d
         diag[:, 1:] += e * e
         off = e * d[:, :-1]
-    # eigvalsh reads only the lower triangle
-    t = np.zeros((n_samples, n, n))
+    # eigvalsh reads only the lower triangle; one reused block of dense
+    # matrices bounds the memory, and the values do not depend on the blocking
+    rows = max(1, _EIG_BLOCK_ENTRIES // (n * n))
+    t = np.zeros((min(rows, n_samples), n, n))
     idx = np.arange(n)
-    t[:, idx, idx] = diag
-    t[:, idx[1:], idx[:-1]] = off
-    lam = np.linalg.eigvalsh(t)
-    return lam if cfg.kind == TYPE_A else np.sqrt(np.maximum(lam, 0.0))
+    lam = np.empty((n_samples, n))
+    for lo in range(0, n_samples, rows):
+        hi = min(lo + rows, n_samples)
+        t[:hi - lo, idx, idx] = diag[lo:hi]
+        t[:hi - lo, idx[1:], idx[:-1]] = off[lo:hi]
+        lam[lo:hi] = np.linalg.eigvalsh(t[:hi - lo])
+    return lam if cfg.kind == TYPE_A else np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam)
 
 
 def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,

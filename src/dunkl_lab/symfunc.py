@@ -8,6 +8,14 @@ computed as eigenfunctions of the Calogero–Sutherland-type operator
 
 which acts triangularly on the monomial basis with respect to dominance
 order, so the expansion coefficients follow from a triangular eigen-system.
+D keeps m_sigma with the closed-form diagonal
+sum sigma_i (sigma_i - 1) + (2/alpha) sum sigma_i (N - 1 - i) (sigma
+zero-padded to N parts), and otherwise only squeezes two parts p > q of
+sigma to (p - k, q + k), k = 1..(p - q)//2, with weight (p - q) times the
+number of position pairs carrying the new parts (Stanley, Adv. Math. 77
+(1989) 76).  So each column is listed from sigma's own part pairs, and the
+triangle is solved by scattering each finished coefficient into the
+partitions below it.
 """
 
 from __future__ import annotations
@@ -64,11 +72,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """True iff |mu| = |lam| and prefix sums of mu never exceed those of lam."""
-    return _dominated(_check_partition(mu), _check_partition(lam))
-
-
-def _dominated(mu: Partition, lam: Partition) -> bool:
-    """dominance_leq on partitions already known to be valid."""
+    mu, lam = _check_partition(mu), _check_partition(lam)
     if sum(mu) != sum(lam):
         return False
     acc_m = acc_l = 0
@@ -274,46 +278,28 @@ def _operator_column(sigma: Partition, n_vars: int):
     Returns (t1, diag_e, off), where
       D m_sigma = [t1 + (2/alpha) diag_e] m_sigma
                   + (2/alpha) sum_{nu < sigma} off[nu] m_nu,
-    t1 = sum sigma_i (sigma_i - 1) from the second-derivative term, and the
-    interaction term is extracted coefficient-by-coefficient at the canonical
-    monomial of each target partition.
+    t1 = sum sigma_i (sigma_i - 1) from the second-derivative term and
+    diag_e = sum_i sigma_i (N - 1 - i) over the zero-padded sigma.  The
+    interaction term only squeezes two parts p > q of sigma toward each
+    other: for k = 1..(p - q)//2 the target nu is sigma with {p, q} replaced
+    by {p - k, q + k}, and off[nu] is (p - q) times the number of position
+    pairs of nu that carry {p - k, q + k}.
     """
-    sigma = tuple(sigma)
+    padded = _pad(sigma, n_vars)
     t1 = float(sum(p * (p - 1) for p in sigma))
-    weight = sum(sigma)
-    sig_pad = _pad(sigma, n_vars)
-    targets = _partitions(weight, n_vars)
-    diag_e = 0.0
+    diag_e = float(sum(p * (n_vars - 1 - i) for i, p in enumerate(padded)))
     off = {}
-    sig_sorted = tuple(sorted(sig_pad, reverse=True))
-    for nu in targets:
-        b = _pad(nu, n_vars)
-        coeff = 0.0
-        for i in range(n_vars):
-            for j in range(i + 1, n_vars):
-                rest = list(b[:i]) + list(b[i + 1:j]) + list(b[j + 1:])
-                s = b[i] + b[j]
-                bi, bj = b[i], b[j]
-                lo, hi = min(bi, bj), max(bi, bj)
-                for q in range(0, s // 2 + 1):
-                    p = s - q
-                    src = tuple(sorted(rest + [p, q], reverse=True))
-                    if src != sig_sorted:
-                        continue
-                    if p == q:
-                        if bi == bj == p:
-                            coeff += p
-                    else:
-                        if lo == q and hi == p:
-                            coeff += p
-                        elif q < lo and hi < p:
-                            coeff += p - q
-        if coeff == 0.0:
-            continue
-        if nu == sigma:
-            diag_e = coeff
-        else:
-            off[nu] = coeff
+    values = sorted(set(padded), reverse=True)
+    for a, p in enumerate(values):
+        for q in values[a + 1:]:
+            rest = list(padded)
+            rest.remove(p)
+            rest.remove(q)
+            for k in range(1, (p - q) // 2 + 1):
+                nu = sorted(rest + [p - k, q + k], reverse=True)
+                c, d = nu.count(p - k), nu.count(q + k)
+                pairs = c * (c - 1) // 2 if p - k == q + k else c * d
+                off[tuple(v for v in nu if v)] = float((p - q) * pairs)
     return t1, diag_e, off
 
 
@@ -323,38 +309,35 @@ def jack_coeffs(lam: Partition, alpha: float, n_vars: int) -> SymPoly:
 
     Normalized so the coefficient of m_lambda is 1; coefficients vanish
     off the dominance-lower set.  alpha > 0 guarantees the eigenvalue gap
-    (guarded anyway).
+    (guarded anyway).  The triangle is solved by scatter: walking the
+    partitions in reverse-lex order (a linear extension of dominance), each
+    u[mu] is final once reached, and its column is added into the partial
+    sums of the partitions it feeds.
     """
     lam = _check_partition(lam)
     if alpha <= 0:
         raise ValueError("alpha > 0 required")
     if len(lam) > n_vars:
         raise ValueError("partition longer than variable count")
-    weight = sum(lam)
-    # reverse-lex descending order is a linear extension of dominance
-    chain = [mu for mu in _partitions(weight, n_vars) if _dominated(mu, lam)]
-
-    def eigen(mu):
-        t1, diag_e, _ = _operator_column(mu, n_vars)
-        return t1 + (2.0 / alpha) * diag_e
-
-    e_lam = eigen(lam)
-    u = {lam: 1.0}
-    for mu in chain:
-        if mu == lam:
+    scale = 2.0 / alpha
+    t1, diag_e, _ = _operator_column(lam, n_vars)
+    e_lam = t1 + scale * diag_e
+    u = {}
+    acc = {lam: 1.0}
+    for mu in _partitions(sum(lam), n_vars):
+        if mu not in acc:
             continue
-        acc = 0.0
-        for sigma, u_sig in u.items():
-            if sigma == mu:
-                continue
-            _, _, off = _operator_column(sigma, n_vars)
-            if mu in off:
-                acc += (2.0 / alpha) * off[mu] * u_sig
-        gap = e_lam - eigen(mu)
-        if abs(gap) < 1e-9 * max(1.0, abs(e_lam)):
-            raise ArithmeticError("eigenvalue collision in Jack triangular solve")
-        u[mu] = acc / gap
-    return SymPoly("monomial", dict(u), n_vars)
+        t1, diag_e, off = _operator_column(mu, n_vars)
+        u_mu = 1.0
+        if mu != lam:
+            gap = e_lam - (t1 + scale * diag_e)
+            if abs(gap) < 1e-9 * max(1.0, abs(e_lam)):
+                raise ArithmeticError("eigenvalue collision in Jack triangular solve")
+            u_mu = acc[mu] / gap
+        u[mu] = u_mu
+        for nu, c in off.items():
+            acc[nu] = acc.get(nu, 0.0) + scale * c * u_mu
+    return SymPoly("monomial", u, n_vars)
 
 
 def jack_eval(lam: Partition, alpha: float, x):

@@ -319,6 +319,17 @@ def test_sample_gaussian_weight_moments():
         assert abs(r2.mean() - exact) <= 4 * se, (cfg, r2.mean(), exact, se)
 
 
+@pytest.mark.parametrize("cfg", [RootSystemConfig(TYPE_A, 3, 8.0),
+                                 RootSystemConfig(TYPE_B, 4, 5.0, nu=2.5)], ids=["A3", "B4"])
+def test_sample_gaussian_weight_blocks_match_one_shot(cfg, monkeypatch):
+    # the same Philox draws through 28 eigvalsh blocks (the last one partial)
+    # and through a single block give the same samples bit for bit
+    monkeypatch.setattr(intertwine, "_EIG_BLOCK_ENTRIES", 1 << 30)
+    one_shot = sample_gaussian_weight(cfg, 1000, seed=5)
+    monkeypatch.setattr(intertwine, "_EIG_BLOCK_ENTRIES", 37 * cfg.n * cfg.n)
+    assert np.array_equal(sample_gaussian_weight(cfg, 1000, seed=5), one_shot)
+
+
 def _bin_integrals(density, edges):
     """Integral of density over each bin by 8-point Gauss-Legendre."""
     g, gw = np.polynomial.legendre.leggauss(8)

@@ -157,30 +157,39 @@ def test_density_b_mass(n, nu):
 def _density_b_by_sum(n, nu, t, y):
     # sum_{k<N} phi_k(u)^2 du/dy, u = y^2/2t, with the orthonormal Laguerre
     # functions phi_k = sqrt(k!/Gamma(k+nu+1)) u^{nu/2} e^{-u/2} L_k^nu(u)
-    # from their normalised three-term recurrence
+    # from their normalised three-term recurrence; the prefactor underflows
+    # past u ~ 1490, so it is carried as a log scale, which also absorbs the
+    # values whenever they pass 1e100
     u = y * y / (2 * t)
-    p_prev = np.zeros_like(u)
-    p = np.exp(nu / 2 * np.log(u) - u / 2 - 0.5 * gammaln(nu + 1))
+    log_scale = nu / 2 * np.log(u) - u / 2 - 0.5 * gammaln(nu + 1)
+    p_prev, p = np.zeros_like(u), np.ones_like(u)
     total = p * p
     for k in range(n - 1):
         a = math.sqrt((k + 1) / (k + nu + 1))
         b = math.sqrt(k * (k + 1) / ((k + nu) * (k + nu + 1))) if k > 0 else 0.0
         p, p_prev = ((2 * k + nu + 1 - u) * a * p - (k + nu) * b * p_prev) / (k + 1), p
         total += p * p
-    return total * y / t
+        big = np.abs(p) > 1e100
+        if np.any(big):
+            factor = np.where(big, np.abs(p), 1.0)
+            p, p_prev, total = p / factor, p_prev / factor, total / (factor * factor)
+            log_scale = log_scale + np.log(factor)
+    return np.exp(np.log(total) + 2 * log_scale) * y / t
 
 
 @pytest.mark.parametrize("nu", [0.5, 2.5])
 def test_density_b_exact_large_n_matches_direct_sum(nu):
     # at N = 150 the Laguerre values overflow a double; the density sums
-    # the squared orthonormal values, rescaled with their log scale
-    n, t = 150, 1.3
-    edge = math.sqrt(2.0 * t * (4 * n + 2 * nu + 2))
-    y = np.linspace(1.2 * edge / 2001, 1.2 * edge, 2001)
-    dens = density_b_exact(n, nu, t, y)
-    ref = _density_b_by_sum(n, nu, t, y)
-    assert np.all(np.isfinite(dens))
-    assert np.max(np.abs(dens - ref)) <= 1e-9 * np.max(ref)
+    # the squared orthonormal values, rescaled with their log scale.  At
+    # N = 400 the grid passes u = y^2/2t ~ 1490, where e^{-u/2} underflows
+    t = 1.3
+    for n in (150, 400):
+        edge = math.sqrt(2.0 * t * (4 * n + 2 * nu + 2))
+        y = np.linspace(1.2 * edge / 2001, 1.2 * edge, 2001)
+        dens = density_b_exact(n, nu, t, y)
+        ref = _density_b_by_sum(n, nu, t, y)
+        assert np.all(np.isfinite(ref)) and np.all(np.isfinite(dens))
+        assert np.max(np.abs(dens - ref)) <= 1e-9 * np.max(ref), n
 
 
 @pytest.mark.parametrize("n", [400, 1000])

@@ -183,6 +183,122 @@ def test_jack_triangular_in_dominance():
         assert dominance_leq(mu, (3, 1))
 
 
+def _operator_column_by_scan(sigma, n_vars):
+    """Oracle for symfunc._operator_column: scan every target partition nu
+    and every position pair of nu for a split that gives back sigma."""
+    t1 = float(sum(p * (p - 1) for p in sigma))
+    sig_sorted = tuple(sorted(symfunc._pad(sigma, n_vars), reverse=True))
+    diag_e = 0.0
+    off = {}
+    for nu in partitions_of(sum(sigma), n_vars):
+        b = symfunc._pad(nu, n_vars)
+        coeff = 0.0
+        for i in range(n_vars):
+            for j in range(i + 1, n_vars):
+                rest = list(b[:i]) + list(b[i + 1:j]) + list(b[j + 1:])
+                bi, bj = b[i], b[j]
+                lo, hi = min(bi, bj), max(bi, bj)
+                for q in range(0, (bi + bj) // 2 + 1):
+                    p = bi + bj - q
+                    if tuple(sorted(rest + [p, q], reverse=True)) != sig_sorted:
+                        continue
+                    if p == q:
+                        if bi == bj == p:
+                            coeff += p
+                    elif lo == q and hi == p:
+                        coeff += p
+                    elif q < lo and hi < p:
+                        coeff += p - q
+        if coeff == 0.0:
+            continue
+        if nu == sigma:
+            diag_e = coeff
+        else:
+            off[nu] = coeff
+    return t1, diag_e, off
+
+
+def _jack_coeffs_by_gather(lam, alpha, n_vars):
+    """Oracle for jack_coeffs: for each mu in the dominance chain, gather
+    the operator's action from every earlier coefficient."""
+    chain = [mu for mu in partitions_of(sum(lam), n_vars) if dominance_leq(mu, lam)]
+
+    def eigen(mu):
+        t1, diag_e, _ = symfunc._operator_column(mu, n_vars)
+        return t1 + (2.0 / alpha) * diag_e
+
+    e_lam = eigen(lam)
+    u = {lam: 1.0}
+    for mu in chain:
+        if mu == lam:
+            continue
+        acc = 0.0
+        for sigma, u_sig in u.items():
+            if sigma == mu:
+                continue
+            _, _, off = symfunc._operator_column(sigma, n_vars)
+            if mu in off:
+                acc += (2.0 / alpha) * off[mu] * u_sig
+        u[mu] = acc / (e_lam - eigen(mu))
+    return SymPoly("monomial", u, n_vars)
+
+
+_COLUMN_CASES = [(sigma, n) for n in range(1, 6) for w in range(13)
+                 for sigma in partitions_of(w, n)]
+_COLUMN_CASES += [(sigma, 3) for w in range(13, 25) for sigma in partitions_of(w, 3)]
+
+
+def test_operator_column_matches_scan():
+    # every partition with N <= 5 and weight <= 12, and N = 3 up to weight 24
+    for sigma, n in _COLUMN_CASES:
+        assert symfunc._operator_column(sigma, n) == _operator_column_by_scan(sigma, n), (sigma, n)
+
+
+_JACK_CASES = [(lam, n) for n in range(1, 6) for w in range(11) for lam in partitions_of(w, n)]
+_JACK_CASES += [(lam, 3) for w in range(11, 19) for lam in partitions_of(w, 3)]
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.4, 1.0, 2.0 / 0.7, 2.0, 3.7])
+def test_jack_coeffs_matches_gather_bit_for_bit(alpha):
+    for lam, n in _JACK_CASES:
+        got = jack_coeffs.__wrapped__(lam, alpha, n).coeffs
+        want = _jack_coeffs_by_gather(lam, alpha, n).coeffs
+        # same keys in the same order, same floats
+        assert list(got.items()) == list(want.items()), (lam, n)
+
+
+def test_jack_solve_reaches_every_dominated_partition(monkeypatch):
+    # dominance is generated by one-box squeezes, so the scatter finalises,
+    # and checks the eigenvalue gap of, every mu below lam
+    seen = []
+    column = symfunc._operator_column
+
+    def recording(mu, n_vars):
+        seen.append(mu)
+        return column(mu, n_vars)
+
+    monkeypatch.setattr(symfunc, "_operator_column", recording)
+    for lam, n in [((4, 2), 4), ((5, 1, 1), 3), ((3, 3, 2), 5), ((6,), 6)]:
+        seen.clear()
+        jack_coeffs.__wrapped__(lam, 1.3, n)
+        below = {mu for mu in partitions_of(sum(lam), n) if dominance_leq(mu, lam)}
+        assert set(seen) == below, lam
+
+
+def test_jack_solve_raises_on_eigenvalue_collision(monkeypatch):
+    column = symfunc._operator_column
+
+    def colliding(mu, n_vars):
+        t1, diag_e, off = column(mu, n_vars)
+        if mu == (1, 1, 1):
+            t1, diag_e, _ = column((2, 1), n_vars)
+        return t1, diag_e, off
+
+    monkeypatch.setattr(symfunc, "_operator_column", colliding)
+    with pytest.raises(ArithmeticError, match="eigenvalue collision"):
+        jack_coeffs.__wrapped__((2, 1), 1.3, 3)
+
+
 def test_hooks_single_box():
     # single box: arm 0, leg 0 -> c = 1, c' = alpha
     assert hook_c((1,), 2.5) == pytest.approx(1.0)
