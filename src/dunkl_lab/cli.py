@@ -66,6 +66,7 @@ def _parse_bins(spec):
     try:
         lo, hi, width = (float(p) for p in spec.split(":"))
     except ValueError:
+        print("error: --bins needs lo:hi:width", file=sys.stderr)
         raise SystemExit(2)
     if width <= 0 or lo >= hi:
         print("error: --bins needs lo < hi and width > 0", file=sys.stderr)
@@ -94,6 +95,10 @@ def cmd_simulate(args) -> int:
     else:
         scale = 1.0
     lo, hi, width = _parse_bins(args.bins)
+    if not 0 < scale < math.inf:
+        print(f"error: --scale {args.scale} gives {scale}, not a finite scale > 0",
+              file=sys.stderr)
+        return 2
     finals = sde.simulate_paths(plan)
     hist = sde.scaled_histogram(finals, scale, lo, hi, width)
     dens = hist.density(plan.n_paths)

@@ -1,9 +1,9 @@
 """Euler–Maruyama integration of the interacting Brownian (type A) and
-interacting Bessel (type B) particle SDEs.
+interacting Bessel (type B) particle SDEs.  The drift, and its stiffness
+bound below, are sums over the positive roots alpha with multiplicities
+kappa of `rootsys.root_table`:
 
-    type A:  dX_i = dB_i + (beta/2) sum_{j != i} dt / (X_i - X_j)
-    type B:  dY_i = dB_i + (beta/2) [ (2 nu + 1)/(2 Y_i)
-                    + sum_{j != i} ( 1/(Y_i - Y_j) + 1/(Y_i + Y_j) ) ] dt
+    dX = dB + (beta/2) sum_alpha kappa_alpha alpha / (alpha . X) dt.
 
 After every step the state is projected back to the Weyl chamber (sort for
 type A, absolute value then sort for type B): this is the chamber-radial
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .rootsys import TYPE_A, TYPE_B, RootSystemConfig, in_weyl_chamber
+from .rootsys import TYPE_B, RootSystemConfig, in_weyl_chamber, root_table
 
 _CHUNK = 1 << 14  # fixed: part of the deterministic stream layout
 
@@ -60,13 +60,8 @@ class SimPlan:
         x0 = np.asarray(self.initial, dtype=float)
         if x0.shape != (self.cfg.n,):
             raise ValueError("initial condition has wrong length")
-        if np.any(np.diff(x0) <= 0):
-            # ties make the Euler drift singular at step one, so require
-            # strictly increasing coordinates
-            raise ValueError("initial coordinates must be strictly increasing")
-        if self.cfg.kind == TYPE_B and x0[0] <= 0:
-            # the wall x_1 = 0 makes the type-B drift singular in the same way
-            raise ValueError("type B initial coordinates must be strictly positive")
+        if not in_weyl_chamber(self.cfg, x0):  # on a wall the drift is singular
+            raise ValueError("initial point must lie strictly inside the Weyl chamber")
         object.__setattr__(self, "initial", tuple(float(v) for v in x0))
 
 
@@ -97,22 +92,22 @@ def drift(cfg: RootSystemConfig, x) -> np.ndarray:
 
 
 def _drift_batch(cfg, x):
-    """Drift for a batch of configurations, shape (m, N); no domain checks."""
-    n = cfg.n
-    b_half = cfg.beta / 2.0
+    """Drift for a batch of configurations, shape (m, N), in one pass over the
+    root table in its order (kappa = 1 on pair roots); no domain checks."""
+    t = root_table(cfg)
     out = np.zeros_like(x)
-    for i in range(n):
-        for j in range(i):
-            inv = 1.0 / (x[:, i] - x[:, j])
-            out[:, i] += inv
-            out[:, j] -= inv
-            if cfg.kind == TYPE_B:
-                inv = 1.0 / (x[:, i] + x[:, j])
-                out[:, i] += inv
-                out[:, j] += inv
-    if cfg.kind == TYPE_B:
-        out += (2 * cfg.nu + 1) / (2.0 * x)
-    return b_half * out
+    for i, j, s, k in zip(t.i.tolist(), t.j.tolist(), t.s.tolist(), t.kappa.tolist()):
+        if s < 0:
+            g = 1.0 / (x[:, j] - x[:, i])
+            out[:, j] += g
+            out[:, i] -= g
+        elif s > 0:
+            g = 1.0 / (x[:, j] + x[:, i])
+            out[:, j] += g
+            out[:, i] += g
+        else:  # coordinate root e_j
+            out[:, j] += k / x[:, j]
+    return cfg.beta / 2.0 * out
 
 
 def _project(cfg, x):
@@ -147,21 +142,17 @@ def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) ->
 def _stiffness(cfg, y):
     """Gershgorin bound on the largest eigenvalue of minus the drift Jacobian.
 
-    The Jacobian is -(beta/2) R^T diag(kappa/(R y)^2) R over the positive
-    roots; bounding each row by |R|^T diag(kappa/(R y)^2) |R| gives
-    beta max_i sum_j 1/(y_i - y_j)^2 for type A, plus the mirror terms
-    1/(y_i + y_j)^2 and (beta/2)(nu + 1/2)/y_i^2 for type B.  The bound is
-    zero when there are no roots (type A, N = 1).
+    The Jacobian is -(beta/2) sum_alpha kappa_alpha alpha alpha^T / (alpha . y)^2
+    over the root table; bounding row p by its absolute sum gives
+    (beta/2) max_p sum_alpha kappa_alpha |alpha_p| |alpha|_1 / (alpha . y)^2.
+    The bound is zero when there are no roots (type A, N = 1).
     """
-    gap = y[:, None] - y[None, :]
-    np.fill_diagonal(gap, np.inf)
-    with np.errstate(over="ignore"):  # overflow to inf is reported by the caller
-        rows = (gap ** -2.0).sum(axis=1)
-        if cfg.kind == TYPE_B:
-            mirror = y[:, None] + y[None, :]
-            np.fill_diagonal(mirror, np.inf)
-            rows += (mirror ** -2.0).sum(axis=1) + (cfg.nu + 0.5) / (2.0 * y ** 2)
-    return cfg.beta * float(rows.max())
+    t = root_table(cfg)
+    abs_s = np.abs(t.s)  # |alpha_i|; |alpha_j| = 1 and |alpha|_1 = 1 + |s|
+    with np.errstate(over="ignore", divide="ignore"):  # inf is reported by the caller
+        w = t.kappa * (1.0 + abs_s) / t.dot(y) ** 2
+    rows = np.bincount(t.j, w, cfg.n) + np.bincount(t.i, abs_s * w, cfg.n)
+    return cfg.beta / 2.0 * float(rows.max())
 
 
 def _step_schedule(cfg, x0, dt, t_final):
@@ -282,6 +273,8 @@ def scaled_histogram(finals, scale_factor: float, lo: float, hi: float,
     """
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
+    if not 0 < scale_factor < math.inf:  # else inf/NaN would count as underflow
+        raise ValueError(f"scale factor must be finite and > 0, got {scale_factor}")
     finals = np.asarray(finals, dtype=float)
     v = finals.ravel() / scale_factor
     n_bins = int(round((hi - lo) / bin_width))

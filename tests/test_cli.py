@@ -73,12 +73,25 @@ def test_simulate_exact_column_empty_off_beta2(tmp_path):
     assert all(r[3] == "" for r in rows)
 
 
-def test_simulate_bad_bins_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--type", "A", "--n", "2", "--t", "0.1",
-              "--init", "0,1", "--bins", "junk", "--out",
-              str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
+def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
+    for spec in ("junk", "0:1"):  # malformed, and wrong arity
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--type", "A", "--n", "2", "--t", "0.1",
+                  "--init", "0,1", "--bins", spec, "--out",
+                  str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "error: --bins needs lo:hi:width" in capsys.readouterr().err
+
+
+def test_simulate_zero_scale_is_usage_error(tmp_path, capsys):
+    # nu = 0 makes the beta_nu_t scale zero: refuse instead of writing zeros
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--type", "B", "--n", "2", "--nu", "0", "--t", "0.1",
+               "--dt", "1e-2", "--paths", "8", "--init", "0.5,1",
+               "--scale", "beta_nu_t", "--out", str(out)])
+    assert rc == 2
+    assert "error: --scale beta_nu_t gives 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_numeric_failure_exit_3(tmp_path):

@@ -20,6 +20,93 @@ from dunkl_lab.sde import (
 CFG_A2 = RootSystemConfig(TYPE_A, 2, 2.0)
 
 
+def _drift_by_pairs(cfg, x):
+    """The pair-loop drift that the root-table pass replaced, kept as its oracle."""
+    n = cfg.n
+    b_half = cfg.beta / 2.0
+    out = np.zeros_like(x)
+    for i in range(n):
+        for j in range(i):
+            inv = 1.0 / (x[:, i] - x[:, j])
+            out[:, i] += inv
+            out[:, j] -= inv
+            if cfg.kind == TYPE_B:
+                inv = 1.0 / (x[:, i] + x[:, j])
+                out[:, i] += inv
+                out[:, j] += inv
+    if cfg.kind == TYPE_B:
+        out += (2 * cfg.nu + 1) / (2.0 * x)
+    return b_half * out
+
+
+def _stiffness_dense(cfg, y):
+    """The dense N x N Gershgorin bound that the root-table sum replaced."""
+    gap = y[:, None] - y[None, :]
+    np.fill_diagonal(gap, np.inf)
+    rows = (gap ** -2.0).sum(axis=1)
+    if cfg.kind == TYPE_B:
+        mirror = y[:, None] + y[None, :]
+        np.fill_diagonal(mirror, np.inf)
+        rows += (mirror ** -2.0).sum(axis=1) + (cfg.nu + 0.5) / (2.0 * y ** 2)
+    return cfg.beta * float(rows.max())
+
+
+def _schedule_by_dense(cfg, x0, dt, t_final):
+    """sde._step_schedule with the dense stiffness bound and the pair drift."""
+    y = np.array([x0], dtype=float)
+    steps, t = [], 0.0
+    while _stiffness_dense(cfg, y[0]) * dt > 1.0:
+        h = 1.0 / _stiffness_dense(cfg, y[0])
+        if t + h >= t_final:
+            return steps + [t_final - t]
+        steps.append(h)
+        t += h
+        y += _drift_by_pairs(cfg, y) * h
+        sde._project(cfg, y)
+    rest = t_final - t
+    n_full = int(math.floor(rest / dt + 1e-9))
+    rem = rest - n_full * dt
+    return steps + [dt] * n_full + ([rem] if rem > 1e-12 * t_final else [])
+
+
+def _chamber_batch(cfg, m, seed):
+    rng = np.random.default_rng(seed)
+    lo = 0.01 if cfg.kind == TYPE_B else -5.0
+    return np.sort(rng.uniform(lo, 5.0, (m, cfg.n)), axis=1)
+
+
+_TABLE_CFGS = [RootSystemConfig(TYPE_A, n, 2.0) for n in (1, 2, 3, 7, 32)] + [
+    RootSystemConfig(TYPE_B, n, 2.0, nu=nu) for n in (1, 2, 3, 7, 32) for nu in (0.0, 0.5, 1e4)
+]
+
+
+@pytest.mark.parametrize("cfg", _TABLE_CFGS, ids=lambda c: f"{c.kind}{c.n}_nu{c.nu}")
+def test_table_drift_matches_pair_loop_bit_for_bit(cfg):
+    x = _chamber_batch(cfg, 256, seed=cfg.n)
+    assert np.array_equal(sde._drift_batch(cfg, x), _drift_by_pairs(cfg, x))
+
+
+@pytest.mark.parametrize("cfg", _TABLE_CFGS, ids=lambda c: f"{c.kind}{c.n}_nu{c.nu}")
+def test_table_stiffness_matches_dense_bound(cfg):
+    for y in _chamber_batch(cfg, 32, seed=100 + cfg.n):
+        ref = _stiffness_dense(cfg, y)
+        assert abs(sde._stiffness(cfg, y) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("cfg, x0, dt, t", [
+    # criterion 4, criterion 5 and the type-B stiff start
+    (RootSystemConfig(TYPE_A, 7, 1e4), tuple(0.01 * i for i in range(-3, 4)), 5e-5, 1.0),
+    (RootSystemConfig(TYPE_B, 7, 2.0, nu=1e4), tuple(0.1 * i for i in range(1, 8)), 2e-5, 0.5),
+    (RootSystemConfig(TYPE_B, 7, 1e4, nu=0.5), tuple(0.01 * i for i in range(1, 8)), 5e-5, 0.05),
+], ids=["criterion4", "criterion5", "B7_beta1e4"])
+def test_step_schedule_matches_dense_reference(cfg, x0, dt, t):
+    steps = np.array(sde._step_schedule(cfg, x0, dt, t))
+    ref = np.array(_schedule_by_dense(cfg, x0, dt, t))
+    assert len(steps) == len(ref)
+    assert np.max(np.abs(steps - ref) / ref) <= 1e-13
+    assert steps[0] < dt  # the start is stiff, so the reference is not trivial
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         SimPlan(cfg=CFG_A2, dt=0.0, t_final=1.0, n_paths=10, seed=0, initial=(0.0, 1.0))
@@ -202,3 +289,7 @@ def test_scaled_histogram_bookkeeping():
     assert float(dens.sum() * h.bin_width) == pytest.approx((finals.size - 2) / 3)
     with pytest.raises(ValueError):
         scaled_histogram(finals, 1.0, 1.0, 0.0, 0.1)
+    # a zero or NaN scale would send every coordinate to +-inf or NaN
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale factor"):
+            scaled_histogram(finals, bad, 0.0, 0.3, 0.1)
