@@ -61,17 +61,16 @@ def limits(ns, degrees):
     out = []
     for n in ns:
         for lam in (lam for d in degrees for lam in symfunc.partitions_of(d, n)):
-            t0 = time.perf_counter()
-            fin = symfunc.jack_to_monomial(intertwine.v_a_on_monomial(lam, n, 1e6))
-            dist = _rel_distance(fin.coeffs, intertwine.v_a_limit(lam, n).coeffs)
-            out.append(_record(f"limit_A_n{n}_{lam}", dist, 1e-5, t0))
-            # type B converges at the same O(1/beta) rate with a larger
-            # constant (~16/beta at |lambda|=4, N=1), so beta = 1e8 here
-            t0 = time.perf_counter()
-            fin = symfunc.jack_to_monomial(intertwine.v_b_on_monomial(lam, n, 1e8, 0.5))
-            scaled = {k: 1e8 ** sum(lam) * c for k, c in fin.coeffs.items()}
-            dist = _rel_distance(scaled, intertwine.v_b_limit_beta(lam, n, 0.5).coeffs)
-            out.append(_record(f"limit_B_n{n}_{lam}", dist, 1e-5, t0))
+            # type B's image falls like beta^-|lambda| and converges at the
+            # same O(1/beta) rate with a larger constant (~16/beta at
+            # |lambda|=4, N=1), so beta = 1e8 there
+            for cfg in (RootSystemConfig(TYPE_A, n, 1e6), RootSystemConfig(TYPE_B, n, 1e8, 0.5)):
+                t0 = time.perf_counter()
+                fin = symfunc.jack_to_monomial(intertwine.v_on_monomial(cfg, lam))
+                rate = cfg.beta ** sum(lam) if cfg.kind == TYPE_B else 1.0
+                scaled = {k: rate * c for k, c in fin.coeffs.items()}
+                dist = _rel_distance(scaled, intertwine.v_limit_beta(cfg, lam).coeffs)
+                out.append(_record(f"limit_{cfg.kind}_n{n}_{lam}", dist, 1e-5, t0))
             # filter product c / (c' (beta N/2)_tau) at beta = 1e8: 1/(N^d d!)
             # on one-row partitions, 0 on the others
             t0 = time.perf_counter()

@@ -29,13 +29,19 @@ from .rootsys import TYPE_A, TYPE_B, RootSystemConfig, gamma
 DEFAULT_SEED = 20140313
 
 
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _make_config(args) -> RootSystemConfig:
     kind = TYPE_A if args.type == "A" else TYPE_B
     nu = getattr(args, "nu", None) if kind == TYPE_B else None
-    beta = getattr(args, "beta", None)
-    if beta is None:
-        beta = 2.0
-    return RootSystemConfig(kind=kind, n=args.n, beta=beta, nu=nu)
+    beta = getattr(args, "beta", 2.0)  # fekete has no --beta
+    try:
+        return RootSystemConfig(kind=kind, n=args.n, beta=beta, nu=nu)
+    except ValueError as exc:
+        _usage_error(exc)
 
 
 def _write_manifest(path, command, params, seed, duration):
@@ -66,11 +72,11 @@ def _parse_bins(spec):
     try:
         lo, hi, width = (float(p) for p in spec.split(":"))
     except ValueError:
-        print("error: --bins needs lo:hi:width", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error("--bins needs lo:hi:width")
     if width <= 0 or lo >= hi:
-        print("error: --bins needs lo < hi and width > 0", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error("--bins needs lo < hi and width > 0")
+    if round((hi - lo) / width) < 1:
+        _usage_error(f"--bins needs lo:hi:width with at least one bin, {spec} has none")
     return lo, hi, width
 
 
@@ -79,6 +85,8 @@ def cmd_simulate(args) -> int:
     cfg = _make_config(args)
     if args.init:
         init = tuple(float(p) for p in args.init.split(","))
+        if len(init) != cfg.n:
+            _usage_error(f"--init has {len(init)} values, --n is {cfg.n}")
     elif cfg.kind == TYPE_A:
         init = tuple(1e-2 * (i - (cfg.n - 1) / 2.0) for i in range(cfg.n))
     else:
@@ -184,20 +192,14 @@ def cmd_verify(args) -> int:
 
 def cmd_intertwine(args) -> int:
     lam = tuple(int(p) for p in args.lam.split(",")) if args.lam else ()
-    cfg_kind = TYPE_A if args.type == "A" else TYPE_B
+    cfg = _make_config(args)
+    if args.limit == "nu" and cfg.kind == TYPE_A:
+        print("error: the nu limit applies to type B only", file=sys.stderr)
+        return 2
+    operator = {"none": intertwine.v_on_monomial, "beta": intertwine.v_limit_beta,
+                "nu": intertwine.v_limit_nu}[args.limit]
     try:
-        if args.limit == "beta":
-            poly = (intertwine.v_a_limit(lam, args.n) if cfg_kind == TYPE_A
-                    else intertwine.v_b_limit_beta(lam, args.n, args.nu))
-        elif args.limit == "nu":
-            if cfg_kind == TYPE_A:
-                print("error: the nu limit applies to type B only", file=sys.stderr)
-                return 2
-            poly = intertwine.v_b_limit_nu(lam, args.n, args.beta)
-        elif cfg_kind == TYPE_A:
-            poly = intertwine.v_a_on_monomial(lam, args.n, args.beta)
-        else:
-            poly = intertwine.v_b_on_monomial(lam, args.n, args.beta, args.nu)
+        poly = operator(cfg, lam)
         if args.basis == "monomial":
             poly = symfunc.jack_to_monomial(poly)
     except (ValueError, ZeroDivisionError) as exc:
@@ -205,10 +207,10 @@ def cmd_intertwine(args) -> int:
         return 3
     payload = {
         "type": args.type, "lambda": list(lam), "n": args.n,
-        "beta": args.beta, "nu": args.nu if cfg_kind == TYPE_B else None,
+        "beta": args.beta, "nu": cfg.nu,
         "limit": args.limit, "basis": poly.basis,
         "jack_alpha": poly.alpha,
-        "squared_variables": cfg_kind == TYPE_B,
+        "squared_variables": cfg.kind == TYPE_B,
         "coefficients": {",".join(map(str, k)) or "": v
                          for k, v in sorted(poly.coeffs.items(), reverse=True)},
     }

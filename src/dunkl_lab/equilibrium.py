@@ -19,7 +19,6 @@ root of the Laguerre zero set with parameter nu - 1/2 (B).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,16 +26,15 @@ import numpy as np
 
 from .rootsys import (
     TYPE_A,
-    TYPE_B,
     NEG_INF,
     RootSystemConfig,
     freezing_constant,
     gamma,
     in_weyl_chamber,
     root_table,
+    weyl_orbit,
+    weyl_order,
 )
-
-_WEYL_CAP = {TYPE_A: 8, TYPE_B: 6}
 
 
 @dataclass
@@ -176,23 +174,6 @@ def steady_state_logdensity(cfg: RootSystemConfig, v) -> float:
     pref = math.lgamma(n + 1) + n / 2.0 * math.log(
         b / (2 * math.pi) if cfg.kind == TYPE_A else 2 * b)
     return pref - b * (_value(root_table(cfg), v) - freezing_constant(cfg))
-
-
-def weyl_orbit(cfg: RootSystemConfig, s) -> np.ndarray:
-    """All images of s under the reflection group: permutations (A) or
-    signed permutations (B).  Capped at small N (factorial growth)."""
-    s = np.asarray(s, dtype=float)
-    if cfg.n > _WEYL_CAP[cfg.kind]:
-        raise ValueError("Weyl orbit enumeration capped at small N")
-    perms = np.array(list(itertools.permutations(s)))
-    if cfg.kind == TYPE_A:
-        return perms
-    signs = np.array(list(itertools.product([1.0, -1.0], repeat=cfg.n)))
-    return (signs[:, None, :] * perms[None, :, :]).reshape(-1, cfg.n)
-
-
-def weyl_order(cfg: RootSystemConfig) -> int:
-    return math.factorial(cfg.n) * (2**cfg.n if cfg.kind == TYPE_B else 1)
 
 
 _PEAK_CACHE: dict = {}

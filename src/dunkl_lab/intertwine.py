@@ -8,18 +8,22 @@ Conventions: the Jack parameter is alpha = 2/beta.  Type-B objects live in
 squared variables; a SymPoly returned by a type-B operation with partition
 key tau stands for the monomial/Jack polynomial evaluated at
 (x_1^2, ..., x_N^2).
+
+Every operation takes a RootSystemConfig, and each fact that tells the types
+apart is stated once: the monomial-image prefactor in `_image_prefactor`,
+type B's lower parameter b in `_lower_param`, the squared kernel variables
+in `_kernel_shells`, and the group order |W| in `rootsys.weyl_order`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import symfunc
-from .equilibrium import weyl_order
 from .rootsys import (
     TYPE_A,
     TYPE_B,
@@ -28,6 +32,7 @@ from .rootsys import (
     log_selberg_const,
     log_weight,
     rank,
+    weyl_order,
 )
 from .symfunc import (
     SymPoly,
@@ -76,7 +81,11 @@ def _fact_partition(lam):
     return out
 
 
-def _bessel_b_param(cfg):
+def _lower_param(cfg):
+    """Lower parameter b = beta (nu + N - 1/2)/2 + 1/2 of type B's 0F1
+    series; None for type A, whose series is 0F0."""
+    if cfg.kind == TYPE_A:
+        return None
     return cfg.beta * (cfg.nu + cfg.n - 0.5) / 2.0 + 0.5
 
 
@@ -90,48 +99,31 @@ def _tau_weight(tau, alpha, n, b):
     return w if b is None else w / gen_pochhammer(b, tau, alpha)
 
 
-def v_a_on_monomial(lam, n_vars: int, beta: float) -> SymPoly:
-    """Intertwined image of m_lambda for the type-A system, Jack(2/beta) basis.
+def _image_prefactor(cfg, lam):
+    """lam! M(lam,N) for type A; (2 lam)! M(lam,N) / 2^{2|lam|} for type B,
+    whose image lives in squared variables."""
+    if cfg.kind == TYPE_A:
+        return _fact_partition(lam) * multinomial_m(lam, cfg.n)
+    return _fact_partition(tuple(2 * p for p in lam)) * multinomial_m(lam, cfg.n) / 4.0 ** sum(lam)
 
-    coefficient on P_tau: lam! M(lam,N) (c_tau/c'_tau) u_{tau,lam}(alpha)
-                          / (beta N / 2)_tau,   alpha = 2/beta,
-    summed over |tau| = |lam|, l(tau) <= N.
+
+def v_on_monomial(cfg: RootSystemConfig, lam) -> SymPoly:
+    """Intertwined image of m_lambda in the Jack(2/beta) basis:
+
+    coefficient on P_tau: pref(lam) (c_tau/c'_tau) u_{tau,lam}(alpha)
+                          / ((beta N / 2)_tau [(b)_tau]),   alpha = 2/beta,
+    summed over |tau| = |lam|, l(tau) <= N, with pref = _image_prefactor
+    and b = _lower_param (type B only).
     """
     lam = tuple(lam)
-    if beta <= 0:
-        raise ValueError("beta > 0 required")
-    alpha = 2.0 / beta
-    pref = _fact_partition(lam) * multinomial_m(lam, n_vars)
+    n, alpha, b = cfg.n, 2.0 / cfg.beta, _lower_param(cfg)
+    pref = _image_prefactor(cfg, lam)
     coeffs = {}
-    for tau in partitions_of(sum(lam), n_vars):
-        u = jack_coeffs(tau, alpha, n_vars).coeffs.get(lam, 0.0)
+    for tau in partitions_of(sum(lam), n):
+        u = jack_coeffs(tau, alpha, n).coeffs.get(lam, 0.0)
         if u != 0.0:
-            coeffs[tau] = pref * _tau_weight(tau, alpha, n_vars, None) * u
-    return SymPoly("jack", coeffs, n_vars, alpha=alpha)
-
-
-def v_b_on_monomial(lam, n_vars: int, beta: float, nu: float) -> SymPoly:
-    """Intertwined image of m_lambda in squared variables, type-B system.
-
-    Same structure as type A with prefactor (2 lam)! M(lam,N) / 2^{2|lam|}
-    and the extra lower-parameter Pochhammer (beta(nu+N-1/2)/2 + 1/2)_tau.
-    """
-    lam = tuple(lam)
-    if beta < 1 or nu < 0:
-        raise ValueError("type B requires beta >= 1 and nu >= 0")
-    alpha = 2.0 / beta
-    b = _bessel_b_param(RootSystemConfig(TYPE_B, n_vars, beta, nu=nu))
-    pref = (
-        _fact_partition(tuple(2 * p for p in lam))
-        * multinomial_m(lam, n_vars)
-        / 4.0 ** sum(lam)
-    )
-    coeffs = {}
-    for tau in partitions_of(sum(lam), n_vars):
-        u = jack_coeffs(tau, alpha, n_vars).coeffs.get(lam, 0.0)
-        if u != 0.0:
-            coeffs[tau] = pref * _tau_weight(tau, alpha, n_vars, b) * u
-    return SymPoly("jack", coeffs, n_vars, alpha=alpha)
+            coeffs[tau] = pref * _tau_weight(tau, alpha, n, b) * u
+    return SymPoly("jack", coeffs, n, alpha=alpha)
 
 
 def _power_sum_expansion(k: int, n_vars: int, scale: float) -> dict:
@@ -142,44 +134,39 @@ def _power_sum_expansion(k: int, n_vars: int, scale: float) -> dict:
     return out
 
 
-def v_a_limit(lam, n_vars: int) -> SymPoly:
-    """Large-beta limit: (M(lam,N)/N^{|lam|}) (sum x_j)^{|lam|}, monomial basis."""
-    lam = tuple(lam)
-    k = sum(lam)
-    scale = multinomial_m(lam, n_vars) / float(n_vars) ** k
-    return SymPoly("monomial", _power_sum_expansion(k, n_vars, scale), n_vars)
+def v_limit_beta(cfg: RootSystemConfig, lam) -> SymPoly:
+    """Large-beta limit of the image, monomial basis; cfg.beta is ignored.
 
-
-def v_b_limit_beta(lam, n_vars: int, nu: float) -> SymPoly:
-    """Large-beta limit of beta^{|lam|} times the type-B image (squared vars):
-
-    ((2 lam)! M(lam,N) / (2^{|lam|} lam! N^{|lam|} (nu+N-1/2)^{|lam|}))
-        * (sum x_j^2)^{|lam|}.
+    Only one-row tau survive, with filter product 1/(N^k k!), k = |lam|, so
+    the limit is pref(lam) / (lam! N^k) (sum x_j)^k for type A.  Type B's
+    image falls like beta^{-k} through (b)_tau ~ (beta (nu+N-1/2)/2)^k; the
+    limit of beta^k times it carries the extra factor (2/(nu+N-1/2))^k.
     """
     lam = tuple(lam)
-    k = sum(lam)
-    scale = (
-        _fact_partition(tuple(2 * p for p in lam))
-        * multinomial_m(lam, n_vars)
-        / (2.0**k * _fact_partition(lam) * float(n_vars) ** k
-           * (nu + n_vars - 0.5) ** k)
-    )
-    return SymPoly("monomial", _power_sum_expansion(k, n_vars, scale), n_vars)
+    n, k = cfg.n, sum(lam)
+    scale = _image_prefactor(cfg, lam)
+    den = _fact_partition(lam) * float(n) ** k
+    if cfg.kind == TYPE_B:
+        scale *= 2.0**k
+        den *= (cfg.nu + n - 0.5) ** k
+    return SymPoly("monomial", _power_sum_expansion(k, n, scale / den), n)
 
 
-def v_b_limit_nu(lam, n_vars: int, beta: float) -> SymPoly:
-    """Large-nu limit of nu^{|lam|} times the type-B image (squared vars):
+def v_limit_nu(cfg: RootSystemConfig, lam) -> SymPoly:
+    """Large-nu limit of nu^{|lam|} times the type-B image; cfg.nu is ignored.
 
     ((2 lam)!/lam!) times the type-A image evaluated at u = x^2/(2 beta);
     by homogeneity that is a uniform coefficient rescale by (2 beta)^{-|lam|}.
     """
+    if cfg.kind != TYPE_B:
+        raise ValueError("the nu limit applies to type B only")
     lam = tuple(lam)
     k = sum(lam)
-    base = symfunc.jack_to_monomial(v_a_on_monomial(lam, n_vars, beta))
+    base = symfunc.jack_to_monomial(v_on_monomial(replace(cfg, kind=TYPE_A, nu=None), lam))
     factor = _fact_partition(tuple(2 * p for p in lam)) / _fact_partition(lam)
-    factor /= (2.0 * beta) ** k
+    factor /= (2.0 * cfg.beta) ** k
     return SymPoly(
-        "monomial", {mu: factor * c for mu, c in base.coeffs.items()}, n_vars
+        "monomial", {mu: factor * c for mu, c in base.coeffs.items()}, cfg.n
     )
 
 
@@ -248,15 +235,13 @@ def hyper_series(params: HyperSeriesParams, x, y):
 
 
 def _kernel_shells(cfg: RootSystemConfig, x, y, max_degree: int):
-    """(group-order prefactor, series shells) of bessel_kernel(cfg, x, y)."""
-    alpha = 2.0 / cfg.beta
-    if cfg.kind == TYPE_A:
-        params = HyperSeriesParams(alpha=alpha, n_vars=cfg.n, max_degree=max_degree)
-        return math.factorial(cfg.n), _series_shells(params, x, y)
-    params = HyperSeriesParams(
-        alpha=alpha, n_vars=cfg.n, max_degree=max_degree, b=_bessel_b_param(cfg)
-    )
-    return 2**cfg.n * math.factorial(cfg.n), _series_shells(params, x * x / 2.0, y * y / 2.0)
+    """(|W|, series shells) of bessel_kernel(cfg, x, y); type B's series
+    runs in the squared variables x^2/2, y^2/2."""
+    params = HyperSeriesParams(alpha=2.0 / cfg.beta, n_vars=cfg.n,
+                               max_degree=max_degree, b=_lower_param(cfg))
+    if cfg.kind == TYPE_B:
+        x, y = x * x / 2.0, y * y / 2.0
+    return weyl_order(cfg), _series_shells(params, x, y)
 
 
 def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
@@ -294,7 +279,7 @@ def frozen_kernel(params: FrozenKernelParams, x, y) -> float:
         eps = 0.0
         if params.epsilon_beta_mode == "corrected":
             eps = -g / 2.0 + math.sqrt(g * g / 4.0 + x2 * y2 / cfg.beta)
-        return 2**n * math.factorial(n) * math.exp(x2 * y2 / (2 * (g + eps)))
+        return weyl_order(cfg) * math.exp(x2 * y2 / (2 * (g + eps)))
     # type A: split off the all-ones direction (the root-span complement)
     sx, sy = float(x.sum()), float(y.sum())
     xpar2 = float(x @ x) - sx * sx / n
@@ -302,10 +287,10 @@ def frozen_kernel(params: FrozenKernelParams, x, y) -> float:
     if params.epsilon_beta_mode == "exact_limit":
         if g == 0.0:  # N = 1: no roots, kernel is exactly the exponential
             return math.exp(math.sqrt(cfg.beta) * sx * sy / n)
-        return math.factorial(n) * math.exp(xpar2 * ypar2 / (2 * g))
+        return weyl_order(cfg) * math.exp(xpar2 * ypar2 / (2 * g))
     eps = 0.0 if g == 0.0 else -g / 2.0 + math.sqrt(g * g / 4.0 + xpar2 * ypar2 / cfg.beta)
     quad = 0.0 if g + eps == 0.0 else xpar2 * ypar2 / (2 * (g + eps))
-    return math.factorial(n) * math.exp(math.sqrt(cfg.beta) * sx * sy / n + quad)
+    return weyl_order(cfg) * math.exp(math.sqrt(cfg.beta) * sx * sy / n + quad)
 
 
 @dataclass
@@ -359,7 +344,7 @@ def sample_gaussian_weight(cfg: RootSystemConfig, n_samples: int, seed: int) -> 
     Type A: eigenvalues of the tridiagonal Hermite model, diagonal N(0, 1),
     off-diagonal k = 1..N-1 sqrt(chi^2_{beta(N-k)} / 2).
     Type B: square roots of the eigenvalues of B B^T, B lower bidiagonal with
-    diagonal chi_{2a - beta i} (i = 0..N-1, a = _bessel_b_param(cfg)) and
+    diagonal chi_{2a - beta i} (i = 0..N-1, a = _lower_param(cfg)) and
     subdiagonal k = 1..N-1 chi_{beta(N-k)} (the Laguerre model in x^2).
 
     The symmetrized kernel is W-invariant in each argument, so kernel
@@ -373,7 +358,7 @@ def sample_gaussian_weight(cfg: RootSystemConfig, n_samples: int, seed: int) -> 
         diag = rng.standard_normal((n_samples, n))
         off = np.sqrt(rng.chisquare(df, size=(n_samples, n - 1)) / 2.0)
     else:
-        d = np.sqrt(rng.chisquare(2.0 * _bessel_b_param(cfg) - cfg.beta * np.arange(n),
+        d = np.sqrt(rng.chisquare(2.0 * _lower_param(cfg) - cfg.beta * np.arange(n),
                                   size=(n_samples, n)))
         e = np.sqrt(rng.chisquare(df, size=(n_samples, n - 1)))
         # B B^T is tridiagonal: d_i^2 + e_i^2 on the diagonal, e_{i+1} d_i below

@@ -16,6 +16,7 @@ log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,9 @@ TYPE_B = "B"
 
 #: sentinel returned by log_weight on degenerate configurations
 NEG_INF = float("-inf")
+
+#: largest N whose reflection orbit weyl_orbit enumerates
+_WEYL_CAP = {TYPE_A: 8, TYPE_B: 6}
 
 
 @dataclass(frozen=True)
@@ -181,3 +185,21 @@ def in_weyl_chamber(cfg: RootSystemConfig, x) -> bool:
     if cfg.kind == TYPE_B and not np.all(x > 0):
         return False
     return bool(np.all(np.diff(x) > 0)) if cfg.n > 1 else True
+
+
+def weyl_order(cfg: RootSystemConfig) -> int:
+    """|W|: N! permutations (A), 2^N N! signed permutations (B)."""
+    return math.factorial(cfg.n) * (2**cfg.n if cfg.kind == TYPE_B else 1)
+
+
+def weyl_orbit(cfg: RootSystemConfig, s) -> np.ndarray:
+    """All images of s under the reflection group: permutations (A) or
+    signed permutations (B).  Capped at small N (factorial growth)."""
+    s = np.asarray(s, dtype=float)
+    if cfg.n > _WEYL_CAP[cfg.kind]:
+        raise ValueError("Weyl orbit enumeration capped at small N")
+    perms = np.array(list(itertools.permutations(s)))
+    if cfg.kind == TYPE_A:
+        return perms
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=cfg.n)))
+    return (signs[:, None, :] * perms[None, :, :]).reshape(-1, cfg.n)

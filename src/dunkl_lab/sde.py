@@ -273,11 +273,13 @@ def scaled_histogram(finals, scale_factor: float, lo: float, hi: float,
     """
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
+    n_bins = int(round((hi - lo) / bin_width))
+    if n_bins < 1:
+        raise ValueError(f"bin width {bin_width} leaves no bin in [{lo}, {hi}]")
     if not 0 < scale_factor < math.inf:  # else inf/NaN would count as underflow
         raise ValueError(f"scale factor must be finite and > 0, got {scale_factor}")
     finals = np.asarray(finals, dtype=float)
     v = finals.ravel() / scale_factor
-    n_bins = int(round((hi - lo) / bin_width))
     hi = lo + n_bins * bin_width  # snap to a whole number of bins
     idx = np.floor((v - lo) / bin_width).astype(int)
     under = int(np.sum(idx < 0))

@@ -123,10 +123,12 @@ def test_criterion_5_nu_collapse():
 
 def test_criterion_6_intertwiner_closed_forms():
     n, beta, nu = 3, 2.0, 0.5
-    a = symfunc.jack_to_monomial(intertwine.v_a_on_monomial((2,), n, beta))
+    a = symfunc.jack_to_monomial(
+        intertwine.v_on_monomial(RootSystemConfig(TYPE_A, n, beta), (2,)))
     err = max(abs(a.coeffs[(2,)] - (beta + 2) / (beta * n + 2)),
               abs(a.coeffs[(1, 1)] - 2 * beta / (beta * n + 2)))
-    b = symfunc.jack_to_monomial(intertwine.v_b_on_monomial((2,), n, beta, nu))
+    b = symfunc.jack_to_monomial(
+        intertwine.v_on_monomial(RootSystemConfig(TYPE_B, n, beta, nu=nu), (2,)))
     d = (beta * (nu + n - 0.5) + 1) * (beta * (nu + n - 0.5) + 3) * (beta * n + 2)
     err = max(err, abs(b.coeffs[(2,)] - 3 * (beta + 2) / d),
               abs(b.coeffs[(1, 1)] - 6 * beta / d))

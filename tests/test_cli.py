@@ -74,13 +74,32 @@ def test_simulate_exact_column_empty_off_beta2(tmp_path):
 
 
 def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
-    for spec in ("junk", "0:1"):  # malformed, and wrong arity
+    for spec in ("junk", "0:1", "-1:1:5"):  # malformed, wrong arity, no bin
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--type", "A", "--n", "2", "--t", "0.1",
-                  "--init", "0,1", "--bins", spec, "--out",
+                  "--init", "0,1", f"--bins={spec}", "--out",
                   str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert "error: --bins needs lo:hi:width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--type", "B", "--n", "2", "--nu", "-1", "--t", "0.1"],
+    ["simulate", "--type", "A", "--n", "0", "--t", "0.1"],
+    ["simulate", "--type", "A", "--n", "2", "--init", "0,1,2", "--t", "0.1"],
+    ["intertwine", "--type", "B", "--n", "2", "--beta", "0.5"],
+], ids=["negative_nu", "zero_n", "init_length", "type_b_beta_below_1"])
+def test_rejected_config_is_usage_error(argv, tmp_path, capsys):
+    # arguments the config or the plan refuses are usage errors, not
+    # numeric failures, and nothing is written
+    out = tmp_path / "x.csv"
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_simulate_zero_scale_is_usage_error(tmp_path, capsys):

@@ -16,8 +16,6 @@ from dunkl_lab.equilibrium import (
     potential,
     potential_b_tilde,
     steady_state_logdensity,
-    weyl_orbit,
-    weyl_order,
 )
 from dunkl_lab.orthopoly import hermite_zeros, laguerre_zeros
 from dunkl_lab.rootsys import (
@@ -28,6 +26,8 @@ from dunkl_lab.rootsys import (
     gamma,
     in_weyl_chamber,
     log_selberg_const,
+    weyl_orbit,
+    weyl_order,
 )
 
 

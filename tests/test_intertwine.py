@@ -17,14 +17,20 @@ from dunkl_lab.intertwine import (
     linear_intertwiner,
     radial_transition_logdensity,
     sample_gaussian_weight,
-    v_a_limit,
-    v_a_on_monomial,
-    v_b_limit_beta,
-    v_b_limit_nu,
-    v_b_on_monomial,
+    v_limit_beta,
+    v_limit_nu,
+    v_on_monomial,
 )
 from dunkl_lab.rootsys import TYPE_A, TYPE_B, RootSystemConfig, gamma
-from dunkl_lab.symfunc import gen_pochhammer, hook_c, hook_c_prime, partitions_of
+from dunkl_lab.symfunc import (
+    SymPoly,
+    gen_pochhammer,
+    hook_c,
+    hook_c_prime,
+    jack_coeffs,
+    multinomial_m,
+    partitions_of,
+)
 
 
 def _coeff_distance(p, q):
@@ -36,10 +42,114 @@ def _coeff_distance(p, q):
     )
 
 
+# The type-split operators these functions replaced, kept verbatim as
+# oracles: the config-driven image and limits must match them bit for bit.
+
+def _fact_partition(lam):
+    out = 1
+    for p in lam:
+        out *= math.factorial(p)
+    return out
+
+
+def _tau_weight(tau, alpha, n, b):
+    w = hook_c(tau, alpha) / hook_c_prime(tau, alpha) / gen_pochhammer(n / alpha, tau, alpha)
+    return w if b is None else w / gen_pochhammer(b, tau, alpha)
+
+
+def _power_sum_expansion(k, n_vars, scale):
+    return {tau: scale * math.factorial(k) / _fact_partition(tau)
+            for tau in partitions_of(k, n_vars)}
+
+
+def _v_a_on_monomial(lam, n_vars, beta):
+    lam = tuple(lam)
+    alpha = 2.0 / beta
+    pref = _fact_partition(lam) * multinomial_m(lam, n_vars)
+    coeffs = {}
+    for tau in partitions_of(sum(lam), n_vars):
+        u = jack_coeffs(tau, alpha, n_vars).coeffs.get(lam, 0.0)
+        if u != 0.0:
+            coeffs[tau] = pref * _tau_weight(tau, alpha, n_vars, None) * u
+    return SymPoly("jack", coeffs, n_vars, alpha=alpha)
+
+
+def _v_b_on_monomial(lam, n_vars, beta, nu):
+    lam = tuple(lam)
+    alpha = 2.0 / beta
+    b = beta * (nu + n_vars - 0.5) / 2.0 + 0.5
+    pref = (
+        _fact_partition(tuple(2 * p for p in lam))
+        * multinomial_m(lam, n_vars)
+        / 4.0 ** sum(lam)
+    )
+    coeffs = {}
+    for tau in partitions_of(sum(lam), n_vars):
+        u = jack_coeffs(tau, alpha, n_vars).coeffs.get(lam, 0.0)
+        if u != 0.0:
+            coeffs[tau] = pref * _tau_weight(tau, alpha, n_vars, b) * u
+    return SymPoly("jack", coeffs, n_vars, alpha=alpha)
+
+
+def _v_a_limit(lam, n_vars):
+    lam = tuple(lam)
+    k = sum(lam)
+    scale = multinomial_m(lam, n_vars) / float(n_vars) ** k
+    return SymPoly("monomial", _power_sum_expansion(k, n_vars, scale), n_vars)
+
+
+def _v_b_limit_beta(lam, n_vars, nu):
+    lam = tuple(lam)
+    k = sum(lam)
+    scale = (
+        _fact_partition(tuple(2 * p for p in lam))
+        * multinomial_m(lam, n_vars)
+        / (2.0**k * _fact_partition(lam) * float(n_vars) ** k
+           * (nu + n_vars - 0.5) ** k)
+    )
+    return SymPoly("monomial", _power_sum_expansion(k, n_vars, scale), n_vars)
+
+
+def _v_b_limit_nu(lam, n_vars, beta):
+    lam = tuple(lam)
+    k = sum(lam)
+    base = symfunc.jack_to_monomial(_v_a_on_monomial(lam, n_vars, beta))
+    factor = _fact_partition(tuple(2 * p for p in lam)) / _fact_partition(lam)
+    factor /= (2.0 * beta) ** k
+    return SymPoly(
+        "monomial", {mu: factor * c for mu, c in base.coeffs.items()}, n_vars
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_config_operators_match_type_split_oracles_bit_for_bit(n):
+    # every partition of degree <= 5, beta in {1, 2, 7.5, 1e6}, nu in {0, 0.5, 2.5};
+    # the beta-limit must ignore cfg.beta and the nu-limit cfg.nu
+    for lam in (lam for d in range(6) for lam in partitions_of(d, n)):
+        for beta in (1.0, 2.0, 7.5, 1e6):
+            cfg = RootSystemConfig(TYPE_A, n, beta)
+            assert v_on_monomial(cfg, lam).coeffs == _v_a_on_monomial(lam, n, beta).coeffs
+            assert v_limit_beta(cfg, lam).coeffs == _v_a_limit(lam, n).coeffs
+            for nu in (0.0, 0.5, 2.5):
+                cfg = RootSystemConfig(TYPE_B, n, beta, nu=nu)
+                got = v_on_monomial(cfg, lam)
+                assert got.coeffs == _v_b_on_monomial(lam, n, beta, nu).coeffs
+                assert v_limit_beta(cfg, lam).coeffs == _v_b_limit_beta(lam, n, nu).coeffs
+        for beta in (1.0, 2.0, 4.0):
+            for nu in (0.0, 0.5, 2.5):
+                got = v_limit_nu(RootSystemConfig(TYPE_B, n, beta, nu=nu), lam)
+                assert got.coeffs == _v_b_limit_nu(lam, n, beta).coeffs
+
+
+def test_nu_limit_refuses_type_a():
+    with pytest.raises(ValueError, match="type B only"):
+        v_limit_nu(RootSystemConfig(TYPE_A, 2, 2.0), (1,))
+
+
 def test_type_a_closed_form_degree_two():
     # image of m_(2) at any N: [(beta+2) m_(2) + 2 beta m_(11)] / (beta N + 2)
     for n, beta in ((3, 2.0), (4, 1.0), (5, 7.5)):
-        got = symfunc.jack_to_monomial(v_a_on_monomial((2,), n, beta))
+        got = symfunc.jack_to_monomial(v_on_monomial(RootSystemConfig(TYPE_A, n, beta), (2,)))
         assert got.coeffs[(2,)] == pytest.approx((beta + 2) / (beta * n + 2),
                                                  abs=1e-12)
         assert got.coeffs[(1, 1)] == pytest.approx(2 * beta / (beta * n + 2),
@@ -50,46 +160,51 @@ def test_type_b_closed_form_degree_two():
     # squared-variable image of m_(2): [3(beta+2) m_(2) + 6 beta m_(11)] / D,
     # D = (beta(nu+N-1/2)+1)(beta(nu+N-1/2)+3)(beta N+2)
     for n, beta, nu in ((3, 2.0, 0.5), (2, 1.0, 1.5), (4, 3.0, 0.0)):
-        got = symfunc.jack_to_monomial(v_b_on_monomial((2,), n, beta, nu))
+        cfg = RootSystemConfig(TYPE_B, n, beta, nu=nu)
+        got = symfunc.jack_to_monomial(v_on_monomial(cfg, (2,)))
         d = (beta * (nu + n - 0.5) + 1) * (beta * (nu + n - 0.5) + 3) * (beta * n + 2)
         assert got.coeffs[(2,)] == pytest.approx(3 * (beta + 2) / d, abs=1e-12)
         assert got.coeffs[(1, 1)] == pytest.approx(6 * beta / d, abs=1e-12)
 
 
 def test_degree_preserved_and_identity_on_constants():
-    p = v_a_on_monomial((), 3, 2.0)
+    cfg = RootSystemConfig(TYPE_A, 3, 2.0)
+    p = v_on_monomial(cfg, ())
     assert symfunc.jack_to_monomial(p).coeffs == {(): 1.0}
-    for mu in symfunc.jack_to_monomial(v_a_on_monomial((2, 1), 3, 2.0)).coeffs:
+    for mu in symfunc.jack_to_monomial(v_on_monomial(cfg, (2, 1))).coeffs:
         assert sum(mu) == 3
 
 
 @pytest.mark.parametrize("lam", [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)])
 def test_type_a_limit_convergence(lam):
-    fin = symfunc.jack_to_monomial(v_a_on_monomial(lam, 3, 1e6))
-    assert _coeff_distance(fin, v_a_limit(lam, 3)) < 1e-5
+    cfg = RootSystemConfig(TYPE_A, 3, 1e6)
+    fin = symfunc.jack_to_monomial(v_on_monomial(cfg, lam))
+    assert _coeff_distance(fin, v_limit_beta(cfg, lam)) < 1e-5
 
 
 @pytest.mark.parametrize("lam", [(1,), (2,), (1, 1)])
 def test_type_b_limit_convergence(lam):
     beta = 1e6
-    fin = symfunc.jack_to_monomial(v_b_on_monomial(lam, 3, beta, 0.5))
+    cfg = RootSystemConfig(TYPE_B, 3, beta, nu=0.5)
+    fin = symfunc.jack_to_monomial(v_on_monomial(cfg, lam))
     fin = symfunc.SymPoly(
         "monomial", {k: v * beta ** sum(lam) for k, v in fin.coeffs.items()}, 3)
-    assert _coeff_distance(fin, v_b_limit_beta(lam, 3, 0.5)) < 1e-5
+    assert _coeff_distance(fin, v_limit_beta(cfg, lam)) < 1e-5
 
 
 @pytest.mark.parametrize("lam", [(1,), (2,), (1, 1), (2, 1)])
 @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
 def test_type_b_nu_limit_identity(lam, beta):
     # the large-nu limit, and its defining identity against the finite-nu image
-    lim = v_b_limit_nu(lam, 3, beta)
     nu = 1e7
-    fin = symfunc.jack_to_monomial(v_b_on_monomial(lam, 3, beta, nu))
+    cfg = RootSystemConfig(TYPE_B, 3, beta, nu=nu)
+    lim = v_limit_nu(cfg, lam)
+    fin = symfunc.jack_to_monomial(v_on_monomial(cfg, lam))
     fin = symfunc.SymPoly(
         "monomial", {k: v * nu ** sum(lam) for k, v in fin.coeffs.items()}, 3)
     assert _coeff_distance(fin, lim) < 1e-5
     # and the closed form: ((2 lam)!/lam!) (2 beta)^{-|lam|} x type-A image
-    base = symfunc.jack_to_monomial(v_a_on_monomial(lam, 3, beta))
+    base = symfunc.jack_to_monomial(v_on_monomial(RootSystemConfig(TYPE_A, 3, beta), lam))
     factor = 1.0
     for p in lam:
         factor *= math.factorial(2 * p) / math.factorial(p)
@@ -176,7 +291,7 @@ def test_kernel_degree_by_degree_expansion():
                 fact = 1.0
                 for p in mu:
                     fact *= math.factorial(p)
-                vx = sympoly_eval(v_a_on_monomial(mu, n, beta), x)
+                vx = sympoly_eval(v_on_monomial(RootSystemConfig(TYPE_A, n, beta), mu), x)
                 brute += math.factorial(n) * monomial_eval(mu, y) * vx / (
                     fact * multinomial_m(mu, n))
             assert float(shells[deg]) == pytest.approx(brute, rel=1e-9, abs=1e-12)

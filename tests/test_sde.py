@@ -289,6 +289,8 @@ def test_scaled_histogram_bookkeeping():
     assert float(dens.sum() * h.bin_width) == pytest.approx((finals.size - 2) / 3)
     with pytest.raises(ValueError):
         scaled_histogram(finals, 1.0, 1.0, 0.0, 0.1)
+    with pytest.raises(ValueError, match="no bin"):  # width 5 on [-1, 1]
+        scaled_histogram(finals, 1.0, -1.0, 1.0, 5.0)
     # a zero or NaN scale would send every coordinate to +-inf or NaN
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="scale factor"):
