@@ -80,11 +80,19 @@ def _parse_bins(spec):
     return lo, hi, width
 
 
+def _parse_values(option, spec, convert):
+    """The comma-separated values of an option; malformed input is a usage error."""
+    try:
+        return tuple(convert(p) for p in spec.split(","))
+    except ValueError:
+        _usage_error(f"{option} needs comma-separated {convert.__name__} values, got {spec!r}")
+
+
 def cmd_simulate(args) -> int:
     t0 = time.time()
     cfg = _make_config(args)
     if args.init:
-        init = tuple(float(p) for p in args.init.split(","))
+        init = _parse_values("--init", args.init, float)
         if len(init) != cfg.n:
             _usage_error(f"--init has {len(init)} values, --n is {cfg.n}")
     elif cfg.kind == TYPE_A:
@@ -191,8 +199,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_intertwine(args) -> int:
-    lam = tuple(int(p) for p in args.lam.split(",")) if args.lam else ()
+    lam = _parse_values("--lambda", args.lam, int) if args.lam else ()
+    try:
+        lam = symfunc._check_partition(lam)
+    except ValueError as exc:
+        _usage_error(f"--lambda {args.lam}: {exc}")
     cfg = _make_config(args)
+    if len(lam) > cfg.n:
+        _usage_error(f"--lambda {args.lam} has {len(lam)} parts, --n is {cfg.n}")
     if args.limit == "nu" and cfg.kind == TYPE_A:
         print("error: the nu limit applies to type B only", file=sys.stderr)
         return 2

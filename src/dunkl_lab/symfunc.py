@@ -109,6 +109,13 @@ def _partitions(weight, max_len) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _partition_keys(weight, max_len) -> dict:
+    """The cached partitions of _partitions, each mapped to itself: a key
+    built elsewhere looks up the one stored tuple that equals it."""
+    return {p: p for p in _partitions(weight, max_len)}
+
+
 def multinomial_m(lam: Partition, n_vars: int) -> int:
     """Number of distinct permutations of lam padded with zeros to n_vars."""
     lam = _check_partition(lam)
@@ -286,6 +293,7 @@ def _operator_column(sigma: Partition, n_vars: int):
     pairs of nu that carry {p - k, q + k}.
     """
     padded = _pad(sigma, n_vars)
+    keys = _partition_keys(sum(sigma), n_vars)  # off shares the cached tuples
     t1 = float(sum(p * (p - 1) for p in sigma))
     diag_e = float(sum(p * (n_vars - 1 - i) for i, p in enumerate(padded)))
     off = {}
@@ -299,7 +307,7 @@ def _operator_column(sigma: Partition, n_vars: int):
                 nu = sorted(rest + [p - k, q + k], reverse=True)
                 c, d = nu.count(p - k), nu.count(q + k)
                 pairs = c * (c - 1) // 2 if p - k == q + k else c * d
-                off[tuple(v for v in nu if v)] = float((p - q) * pairs)
+                off[keys[tuple(v for v in nu if v)]] = float((p - q) * pairs)
     return t1, diag_e, off
 
 

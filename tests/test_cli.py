@@ -88,7 +88,12 @@ def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
     ["simulate", "--type", "A", "--n", "0", "--t", "0.1"],
     ["simulate", "--type", "A", "--n", "2", "--init", "0,1,2", "--t", "0.1"],
     ["intertwine", "--type", "B", "--n", "2", "--beta", "0.5"],
-], ids=["negative_nu", "zero_n", "init_length", "type_b_beta_below_1"])
+    ["simulate", "--type", "A", "--n", "2", "--init", "0,x", "--t", "0.1"],
+    ["intertwine", "--type", "A", "--n", "3", "--lambda", "a"],
+    ["intertwine", "--type", "A", "--n", "3", "--lambda", "2,-1"],
+    ["intertwine", "--type", "B", "--n", "3", "--lambda", "1,2"],
+], ids=["negative_nu", "zero_n", "init_length", "type_b_beta_below_1", "init_not_a_number",
+        "lambda_not_an_integer", "lambda_negative_part", "lambda_increasing"])
 def test_rejected_config_is_usage_error(argv, tmp_path, capsys):
     # arguments the config or the plan refuses are usage errors, not
     # numeric failures, and nothing is written
@@ -100,6 +105,19 @@ def test_rejected_config_is_usage_error(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("a", "--lambda needs comma-separated int values, got 'a'"),
+    ("2,-1", "--lambda 2,-1: parts must be positive"),
+    ("1,2", "--lambda 1,2: parts must be weakly decreasing"),
+    ("1,1,1,1", "--lambda 1,1,1,1 has 4 parts, --n is 3"),
+])
+def test_intertwine_bad_lambda_names_the_option(spec, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["intertwine", "--type", "A", "--n", "3", f"--lambda={spec}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_zero_scale_is_usage_error(tmp_path, capsys):

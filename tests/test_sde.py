@@ -3,9 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from dunkl_lab import sde
-from dunkl_lab.rootsys import TYPE_A, TYPE_B, RootSystemConfig, gamma, in_weyl_chamber
+from dunkl_lab.rootsys import TYPE_A, TYPE_B, RootSystemConfig, gamma, in_weyl_chamber, root_table
 from dunkl_lab.sde import (
     InitStats,
     ParticleState,
@@ -37,6 +38,41 @@ def _drift_by_pairs(cfg, x):
     if cfg.kind == TYPE_B:
         out += (2 * cfg.nu + 1) / (2.0 * x)
     return b_half * out
+
+
+def _drift_rows(cfg, x):
+    """The drift on paths held as rows, shape (m, N), one pass over the root
+    table: the (m, N) layout that the particle-major batch replaced, kept as
+    its oracle."""
+    t = root_table(cfg)
+    out = np.zeros_like(x)
+    for i, j, s, k in zip(t.i.tolist(), t.j.tolist(), t.s.tolist(), t.kappa.tolist()):
+        if s < 0:
+            g = 1.0 / (x[:, j] - x[:, i])
+            out[:, j] += g
+            out[:, i] -= g
+        elif s > 0:
+            g = 1.0 / (x[:, j] + x[:, i])
+            out[:, j] += g
+            out[:, i] += g
+        else:
+            out[:, j] += k / x[:, j]
+    return cfg.beta / 2.0 * out
+
+
+def _run_chunk_rows(plan, chunk_index, lo, hi, steps):
+    """sde._run_chunk on (m, N) rows with a full sort every step, kept as its oracle."""
+    cfg = plan.cfg
+    key = (int(plan.seed) & ((1 << 64) - 1)) + (chunk_index << 64)
+    rng = Generator(Philox(key=key))
+    m = hi - lo
+    x = np.tile(np.asarray(plan.initial, dtype=float), (m, 1))
+    repairs = 0
+    for dt_k in steps:
+        noise = rng.standard_normal((m, cfg.n))
+        x += _drift_rows(cfg, x) * dt_k + math.sqrt(dt_k) * noise
+        repairs += sde._project(cfg, x)
+    return x, repairs
 
 
 def _stiffness_dense(cfg, y):
@@ -77,13 +113,75 @@ def _chamber_batch(cfg, m, seed):
 
 _TABLE_CFGS = [RootSystemConfig(TYPE_A, n, 2.0) for n in (1, 2, 3, 7, 32)] + [
     RootSystemConfig(TYPE_B, n, 2.0, nu=nu) for n in (1, 2, 3, 7, 32) for nu in (0.0, 0.5, 1e4)
-]
+] + [RootSystemConfig(TYPE_A, 5, 3.7), RootSystemConfig(TYPE_B, 5, 3.7, nu=0.5)]  # beta/2 inexact
 
 
 @pytest.mark.parametrize("cfg", _TABLE_CFGS, ids=lambda c: f"{c.kind}{c.n}_nu{c.nu}")
 def test_table_drift_matches_pair_loop_bit_for_bit(cfg):
     x = _chamber_batch(cfg, 256, seed=cfg.n)
-    assert np.array_equal(sde._drift_batch(cfg, x), _drift_by_pairs(cfg, x))
+    batch = sde._Batch(cfg, np.ascontiguousarray(x.T))  # particle-major (N, m)
+    assert np.array_equal(batch.drift().T, _drift_by_pairs(cfg, x))
+
+
+_CHUNK_CASES = [
+    # the crowded benchmark's sizes: no path leaves the chamber
+    (RootSystemConfig(TYPE_A, 32, 2.0), tuple(np.linspace(-16.0, 16.0, 32)), 1e-3, 10, 4096),
+    (RootSystemConfig(TYPE_B, 32, 2.0, nu=0.5), tuple(np.arange(1.0, 33.0)), 1e-3, 10, 4096),
+    # criterion 4's stiff start and type B's: shortened steps, then uniform ones
+    (RootSystemConfig(TYPE_A, 7, 1e4), tuple(0.01 * i for i in range(-3, 4)), 5e-5, 100, 1024),
+    (RootSystemConfig(TYPE_B, 7, 1e4, nu=0.5), tuple(0.01 * i for i in range(1, 8)), 5e-5, 100,
+     1024),
+    # about 8% and 23% of the paths re-sorted each step
+    (RootSystemConfig(TYPE_A, 3, 0.5), (0.0, 0.05, 0.1), 5e-2, 40, 2048),
+    (RootSystemConfig(TYPE_B, 4, 1.0, nu=0.0), (0.01, 0.02, 0.03, 0.04), 2e-2, 40, 2048),
+]
+
+
+@pytest.mark.parametrize("cfg, x0, dt, n_steps, m", _CHUNK_CASES,
+                         ids=["A32", "B32_nu0.5", "criterion4", "B7_beta1e4", "A3_beta0.5",
+                              "B4_nu0"])
+def test_particle_major_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
+    plan = SimPlan(cfg=cfg, dt=dt, t_final=dt * n_steps, n_paths=m, seed=7, initial=x0)
+    steps = sde._step_schedule(cfg, x0, dt, plan.t_final)
+    finals, repairs = sde._run_chunk(plan, 0, 0, m, steps)
+    ref, ref_repairs = _run_chunk_rows(plan, 0, 0, m, steps)
+    assert np.array_equal(finals, ref)
+    assert repairs == ref_repairs
+    if cfg.n == 32:
+        assert repairs == 0
+
+
+def test_partial_chunk_matches_rows_bit_for_bit():
+    # a full chunk and a partial second one, each on its own Philox stream;
+    # about 13% of the paths are re-sorted each step
+    cfg = RootSystemConfig(TYPE_B, 2, 1.0, nu=0.0)
+    n_paths = sde._CHUNK + 300
+    plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.2, n_paths=n_paths, seed=5,
+                   initial=(0.01, 0.02))
+    finals, stats = simulate_paths(plan, return_stats=True)
+    steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
+    full, r0 = _run_chunk_rows(plan, 0, 0, sde._CHUNK, steps)
+    part, r1 = _run_chunk_rows(plan, 1, sde._CHUNK, n_paths, steps)
+    assert np.array_equal(finals, np.concatenate([full, part]))
+    assert stats["repairs"] == r0 + r1
+
+
+@pytest.mark.parametrize("kind", [TYPE_A, TYPE_B])
+def test_selective_projection_matches_full_sort(kind):
+    # in-order paths, descents, ties, signed zeros and a NaN: re-sorting only
+    # the flagged columns gives the full sort's bits and repair count
+    cfg = RootSystemConfig(kind, 3, 2.0, nu=0.5 if kind == TYPE_B else None)
+    rows = np.array([
+        [0.1, 0.2, 0.3], [0.3, 0.1, 0.2], [0.2, 0.2, 0.3], [-0.1, 0.2, 0.3],
+        [0.0, 0.1, 0.2], [-0.0, 0.0, 0.1], [0.1, np.nan, 0.2], [0.5, 0.5, 0.5],
+        [-0.3, -0.2, -0.1], [1e300, -1e300, 0.0],
+    ])
+    ref = rows.copy()
+    ref_repairs = sde._project(cfg, ref)
+    batch = sde._Batch(cfg, np.ascontiguousarray(rows.T))
+    assert batch.project() == ref_repairs > 0
+    assert np.array_equal(batch.x.T, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(batch.x.T), np.signbit(ref))
 
 
 @pytest.mark.parametrize("cfg", _TABLE_CFGS, ids=lambda c: f"{c.kind}{c.n}_nu{c.nu}")
