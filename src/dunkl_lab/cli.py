@@ -99,22 +99,22 @@ def cmd_simulate(args) -> int:
         init = tuple(1e-2 * (i - (cfg.n - 1) / 2.0) for i in range(cfg.n))
     else:
         init = tuple(1e-2 * i for i in range(1, cfg.n + 1))
-    plan = sde.SimPlan(cfg=cfg, dt=args.dt, t_final=args.t,
-                       n_paths=args.paths, seed=args.seed, initial=init)
+    try:
+        plan = sde.SimPlan(cfg=cfg, dt=args.dt, t_final=args.t,
+                           n_paths=args.paths, seed=args.seed, initial=init)
+    except ValueError as exc:
+        _usage_error(exc)
     if args.scale == "beta_t":
         scale = math.sqrt(cfg.beta * args.t)
     elif args.scale == "beta_nu_t":
         if cfg.nu is None:
-            print("error: --scale beta_nu_t requires --type B", file=sys.stderr)
-            return 2
+            _usage_error("--scale beta_nu_t requires --type B")
         scale = math.sqrt(cfg.beta * cfg.nu * args.t)
     else:
         scale = 1.0
     lo, hi, width = _parse_bins(args.bins)
     if not 0 < scale < math.inf:
-        print(f"error: --scale {args.scale} gives {scale}, not a finite scale > 0",
-              file=sys.stderr)
-        return 2
+        _usage_error(f"--scale {args.scale} gives {scale}, not a finite scale > 0")
     finals = sde.simulate_paths(plan)
     hist = sde.scaled_histogram(finals, scale, lo, hi, width)
     dens = hist.density(plan.n_paths)
@@ -148,11 +148,7 @@ def cmd_simulate(args) -> int:
 def cmd_fekete(args) -> int:
     t0 = time.time()
     cfg = _make_config(args)
-    try:
-        report = equilibrium.peak_set(cfg)
-    except (RuntimeError, ArithmeticError) as exc:
-        print(f"error: equilibrium solver failed: {exc}", file=sys.stderr)
-        return 3
+    report = equilibrium.peak_set(cfg)
     oracle = checks.zero_oracle(cfg)
     payload = {
         "minimizer": report.minimizer.tolist(),
@@ -208,17 +204,12 @@ def cmd_intertwine(args) -> int:
     if len(lam) > cfg.n:
         _usage_error(f"--lambda {args.lam} has {len(lam)} parts, --n is {cfg.n}")
     if args.limit == "nu" and cfg.kind == TYPE_A:
-        print("error: the nu limit applies to type B only", file=sys.stderr)
-        return 2
+        _usage_error("the nu limit applies to type B only")
     operator = {"none": intertwine.v_on_monomial, "beta": intertwine.v_limit_beta,
                 "nu": intertwine.v_limit_nu}[args.limit]
-    try:
-        poly = operator(cfg, lam)
-        if args.basis == "monomial":
-            poly = symfunc.jack_to_monomial(poly)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    poly = operator(cfg, lam)
+    if args.basis == "monomial":
+        poly = symfunc.jack_to_monomial(poly)
     payload = {
         "type": args.type, "lambda": list(lam), "n": args.n,
         "beta": args.beta, "nu": cfg.nu,
@@ -288,9 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, ZeroDivisionError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
     if argv is None:

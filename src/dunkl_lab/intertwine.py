@@ -12,7 +12,8 @@ key tau stands for the monomial/Jack polynomial evaluated at
 Every operation takes a RootSystemConfig, and each fact that tells the types
 apart is stated once: the monomial-image prefactor in `_image_prefactor`,
 type B's lower parameter b in `_lower_param`, the squared kernel variables
-in `_kernel_shells`, and the group order |W| in `rootsys.weyl_order`.
+in `_kernel_shells`, and, in `rootsys`, the group order |W| (`weyl_order`)
+and the complement of the root span (`span_complement`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .rootsys import (
     log_selberg_const,
     log_weight,
     rank,
+    span_complement,
     weyl_order,
 )
 from .symfunc import (
@@ -174,16 +176,11 @@ def linear_intertwiner(cfg: RootSystemConfig) -> LinearIntertwiner:
     """Action on linear polynomials as an N x N matrix.
 
     M = (1/(1 + beta gamma / d)) [ I + (beta gamma / d) P ], with d the root
-    span dimension and P the orthogonal projector onto the complement of the
-    root span (for type A the all-ones direction; empty for type B).
+    span dimension and P = rootsys.span_complement(cfg) the orthogonal
+    projector onto the complement of the root span.
     """
-    n = cfg.n
-    d = rank(cfg)
-    bg = cfg.beta * gamma(cfg)
-    proj = np.zeros((n, n))
-    if cfg.kind == TYPE_A:
-        proj = np.full((n, n), 1.0 / n)
-    m = (np.eye(n) + (bg / d) * proj) / (1.0 + bg / d)
+    bg_d = cfg.beta * gamma(cfg) / rank(cfg)
+    m = (np.eye(cfg.n) + bg_d * span_complement(cfg)) / (1.0 + bg_d)
     return LinearIntertwiner(matrix=m)
 
 
@@ -261,36 +258,34 @@ def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
 def frozen_kernel(params: FrozenKernelParams, x, y) -> float:
     """Large-beta closed form of bessel_kernel(cfg, sqrt(beta) x, y).
 
-    exact_limit drops all finite-beta corrections; corrected replaces gamma
-    by gamma + eps_beta with the smooth quadratic-root form
+    With P = rootsys.span_complement(cfg) and x_r = x - P x the part of x in
+    the root span,
 
-        eps_beta = -gamma/2 + sqrt(gamma^2/4 + |x|^2 |y|^2 / beta),
+        |W| exp( sqrt(beta) <P x, P y> + |x_r|^2 |y_r|^2 / (2 (gamma + eps)) ).
 
-    which interpolates the small-argument |x|^2|y|^2/(beta gamma) and
-    large-argument |x||y|/sqrt(beta) regimes.
+    exact_limit takes eps = 0; corrected takes the smooth quadratic-root form
+
+        eps_beta = -gamma/2 + sqrt(gamma^2/4 + |x_r|^2 |y_r|^2 / beta),
+
+    which interpolates the small-argument |x_r|^2|y_r|^2/(beta gamma) and
+    large-argument |x_r||y_r|/sqrt(beta) regimes.  The quadratic term is 0
+    when x_r or y_r is 0, which covers type A at N = 1 (no roots).
     """
     cfg = params.cfg
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = gamma(cfg)
-    n = cfg.n
-    if cfg.kind == TYPE_B:
-        x2, y2 = float(x @ x), float(y @ y)
+    proj = span_complement(cfg)
+    px, py = proj @ x, proj @ y
+    xr, yr = x - px, y - py
+    r2 = float(xr @ xr) * float(yr @ yr)
+    quad = 0.0
+    if r2 > 0.0:
+        g = gamma(cfg)
         eps = 0.0
         if params.epsilon_beta_mode == "corrected":
-            eps = -g / 2.0 + math.sqrt(g * g / 4.0 + x2 * y2 / cfg.beta)
-        return weyl_order(cfg) * math.exp(x2 * y2 / (2 * (g + eps)))
-    # type A: split off the all-ones direction (the root-span complement)
-    sx, sy = float(x.sum()), float(y.sum())
-    xpar2 = float(x @ x) - sx * sx / n
-    ypar2 = float(y @ y) - sy * sy / n
-    if params.epsilon_beta_mode == "exact_limit":
-        if g == 0.0:  # N = 1: no roots, kernel is exactly the exponential
-            return math.exp(math.sqrt(cfg.beta) * sx * sy / n)
-        return weyl_order(cfg) * math.exp(xpar2 * ypar2 / (2 * g))
-    eps = 0.0 if g == 0.0 else -g / 2.0 + math.sqrt(g * g / 4.0 + xpar2 * ypar2 / cfg.beta)
-    quad = 0.0 if g + eps == 0.0 else xpar2 * ypar2 / (2 * (g + eps))
-    return weyl_order(cfg) * math.exp(math.sqrt(cfg.beta) * sx * sy / n + quad)
+            eps = -g / 2.0 + math.sqrt(g * g / 4.0 + r2 / cfg.beta)
+        quad = r2 / (2 * (g + eps))
+    return weyl_order(cfg) * math.exp(math.sqrt(cfg.beta) * float(px @ py) + quad)
 
 
 @dataclass

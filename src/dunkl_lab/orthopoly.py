@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 HERMITE = "hermite"
 LAGUERRE = "laguerre"
@@ -98,7 +97,7 @@ def hermite_eval(n: int, x):
     if n < 0:
         raise ValueError("n >= 0 required")
     p, d, _, logscale = _recurrence(*_hermite_coeffs(n), x)
-    lognorm = 0.5 * (n * math.log(2.0) + gammaln(n + 1))
+    lognorm = 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
     return _unscaled("H_n", n, p, d, logscale + lognorm)
 
 
@@ -111,7 +110,7 @@ def laguerre_eval(n: int, alpha: float, x):
     if n < 0:
         raise ValueError("n >= 0 required")
     p, d, _, logscale = _recurrence(*_laguerre_coeffs(n, alpha), x)
-    lognorm = 0.5 * (gammaln(n + alpha + 1) - gammaln(n + 1) - gammaln(alpha + 1))
+    lognorm = 0.5 * (math.lgamma(n + alpha + 1) - math.lgamma(n + 1) - math.lgamma(alpha + 1))
     sign = (-1) ** n
     return _unscaled("L_n", n, sign * p, sign * d, logscale + lognorm)
 
@@ -201,5 +200,7 @@ def density_b_exact(n: int, nu: float, t: float, y):
         raise ValueError("y > 0 required")
     u = y * y / (2 * t)
     _, _, total, logscale = _recurrence(*_laguerre_coeffs(n, nu), u)
-    dens = np.exp(np.log(total) + 2 * logscale + xlogy(nu, u) - u - gammaln(nu + 1)) * y / t
+    with np.errstate(divide="ignore"):  # y^2 may underflow: log 0 = -inf gives u^nu = 0
+        u_nu = nu * np.log(u) if nu else 0.0  # u^0 = 1, also at u = 0
+    dens = np.exp(np.log(total) + 2 * logscale + u_nu - u - math.lgamma(nu + 1)) * y / t
     return float(dens) if dens.ndim == 0 else dens

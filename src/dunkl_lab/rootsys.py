@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 TYPE_A = "A"
 TYPE_B = "B"
@@ -70,6 +69,15 @@ class RootSystemConfig:
 def rank(cfg: RootSystemConfig) -> int:
     """Dimension of the span of the roots: N-1 for type A, N for type B."""
     return cfg.n - 1 if cfg.kind == TYPE_A else cfg.n
+
+
+def span_complement(cfg: RootSystemConfig) -> np.ndarray:
+    """Orthogonal projector onto the complement of the root span, N x N: the
+    all-ones direction, ones/N, for type A; zero for type B, whose roots
+    span R^N."""
+    if cfg.kind == TYPE_A:
+        return np.full((cfg.n, cfg.n), 1.0 / cfg.n)
+    return np.zeros((cfg.n, cfg.n))
 
 
 def gamma(cfg: RootSystemConfig) -> float:
@@ -148,15 +156,15 @@ def log_selberg_const(cfg: RootSystemConfig) -> float:
     if cfg.kind == TYPE_A:
         out = 0.0
         for j in range(1, n + 1):
-            out += 0.5 * math.log(2 * math.pi) + gammaln(1 + j * b / 2) - gammaln(1 + b / 2)
+            out += 0.5 * math.log(2 * math.pi) + math.lgamma(1 + j * b / 2) - math.lgamma(1 + b / 2)
         return out
     nu = cfg.nu
     out = (b * gamma(cfg) + n) / 2.0 * math.log(2.0)
     for j in range(1, n + 1):
         out += (
-            gammaln(1 + j * b / 2)
-            + gammaln(b / 2 * (nu + j - 0.5) + 0.5)
-            - gammaln(b / 2 + 1)
+            math.lgamma(1 + j * b / 2)
+            + math.lgamma(b / 2 * (nu + j - 0.5) + 0.5)
+            - math.lgamma(b / 2 + 1)
         )
     return out
 

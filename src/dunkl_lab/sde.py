@@ -16,8 +16,10 @@ One routine, `_Batch.step`, takes the step x += b h + sqrt(h) noise^T and
 projects; the ensemble, the noise-free schedule path, `euler_step` and
 `drift` (m = 1) all go through it.  The projection re-sorts only the paths
 that left the chamber: after the absolute value (type B) it flags the
-columns with a descent, a tie or a zero, and `_project` sorts and unties
-those alone, which is bit-identical to sorting every path on every step.
+columns with a descent, a tie or a zero, then sorts and unties those alone,
+which is bit-identical to sorting every path on every step.  Beyond the
+root table, the projection's reflection at 0 is the one thing that tells
+type B from type A here.
 
 The step dt of a plan is the largest step.  Near a stiff start, where
 particles begin close together (or, for type B, close to the origin), the
@@ -26,20 +28,14 @@ stiffness along the noise-free path, so explicit Euler does not throw the
 particles past where the drift would take them.  A start that is not stiff
 at dt gets uniform steps of dt.
 
-Ensembles are integrated in fixed-size path chunks; each chunk draws its
-noise as (m, N) from its own counter-based Philox stream keyed by (seed,
-chunk index), so results are bit-identical regardless of how many workers
-run the chunks.  The default is sequential: each running chunk holds its
-own buffers, and on a 2-core machine two chunk workers raised the peak
-resident memory of the benchmark's two-chunk N = 7 ensemble from 66.3 to
-73.1 MB (+10%) for 15% less wall time, so DUNKL_LAB_THREADS must ask for them.
+Ensembles are integrated one fixed-size path chunk after another; each
+chunk draws its noise as (m, N) from its own counter-based Philox stream
+keyed by (seed, chunk index), so a path's bits depend only on the plan.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +115,9 @@ class _Batch:
         n, m = x.shape
         self.b = np.empty_like(x)
         self._g = np.empty(m)
+        self._signed = cfg.kind == TYPE_B  # chamber 0 < x_1 < ... < x_N: reflect at 0
         # one row per chamber wall: x_{k+1} > x_k, and for type B x_1 > 0 first
-        self._walls = np.empty((n - 1 + (cfg.kind == TYPE_B), m), dtype=bool)
+        self._walls = np.empty((n - 1 + self._signed, m), dtype=bool)
         self._ok = np.empty(m, dtype=bool)
         t = root_table(cfg)
         # per root: its sign s, the rows of x and b it reads and writes, kappa
@@ -158,11 +155,11 @@ class _Batch:
         return self.project()
 
     def project(self):
-        """In-place chamber projection: reflect (B), then hand _project only
+        """In-place chamber projection: reflect (B), then sort and untie only
         the paths that are not strictly inside the chamber (a descent, a tie,
-        a zero for B, or a NaN); returns its repair count."""
+        a zero for B, or a NaN); returns the number of tie and zero repairs."""
         x, ok, rises = self.x, self._ok, self._walls
-        if self.cfg.kind == TYPE_B:
+        if self._signed:
             np.abs(x, out=x)
             np.greater(x[0], 0.0, out=rises[0])
             rises = rises[1:]
@@ -171,31 +168,21 @@ class _Batch:
         if ok.all():
             return 0
         cols = np.flatnonzero(~ok)
-        rows = np.ascontiguousarray(x[:, cols].T)
-        repairs = _project(self.cfg, rows)
-        x[:, cols] = rows.T
+        y = np.sort(x[:, cols], axis=0)
+        repairs = 0
+        if self._signed:
+            zero = y[0] == 0.0
+            if np.any(zero):
+                repairs += int(zero.sum())
+                y[0, zero] = np.finfo(float).tiny
+        for k in range(len(y) - 1):
+            tied = y[k + 1] <= y[k]
+            if np.any(tied):
+                repairs += int(tied.sum())
+                bump = np.finfo(float).eps * np.maximum(1.0, np.abs(y[k, tied]))
+                y[k + 1, tied] = y[k, tied] + bump
+        x[:, cols] = y
         return repairs
-
-
-def _project(cfg, x):
-    """In-place chamber projection of paths held as rows, shape (m, N):
-    reflect (B), sort, untie."""
-    if cfg.kind == TYPE_B:
-        np.abs(x, out=x)
-    x.sort(axis=1)
-    repairs = 0
-    if cfg.kind == TYPE_B:
-        zero = x[:, 0] == 0.0
-        if np.any(zero):
-            repairs += int(zero.sum())
-            x[zero, 0] = np.finfo(float).tiny
-    for k in range(cfg.n - 1):
-        tied = x[:, k + 1] <= x[:, k]
-        if np.any(tied):
-            repairs += int(tied.sum())
-            bump = np.finfo(float).eps * np.maximum(1.0, np.abs(x[tied, k]))
-            x[tied, k + 1] = x[tied, k] + bump
-    return repairs
 
 
 def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) -> ParticleState:
@@ -274,25 +261,14 @@ def _run_chunk(plan, chunk_index, lo, hi, steps):
 def simulate_paths(plan: SimPlan, return_stats: bool = False):
     """Integrate n_paths independent trajectories; returns finals (n_paths, N).
 
-    Deterministic for a given plan regardless of the worker count: each
-    fixed-size chunk of paths owns a Philox stream keyed by (seed, chunk).
-    Worker count is taken from DUNKL_LAB_THREADS (0 or unset = sequential,
-    the default for its memory cost; see the module docstring).
-    plan.dt is the largest step; steps near a stiff start are shorter (see
-    _step_schedule), and all chunks share the one schedule.
+    Deterministic for a given plan: each fixed-size chunk of paths owns a
+    Philox stream keyed by (seed, chunk).  plan.dt is the largest step;
+    steps near a stiff start are shorter (see _step_schedule), and all
+    chunks share the one schedule.
     """
     steps = _step_schedule(plan.cfg, plan.initial, plan.dt, plan.t_final)
-    bounds = [(c, lo, min(lo + _CHUNK, plan.n_paths))
-              for c, lo in enumerate(range(0, plan.n_paths, _CHUNK))]
-    threads = int(os.environ.get("DUNKL_LAB_THREADS", "0") or 0)
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda b: _run_chunk(plan, b[0], b[1], b[2], steps),
-                bounds,
-            ))
-    else:
-        results = [_run_chunk(plan, c, lo, hi, steps) for c, lo, hi in bounds]
+    results = [_run_chunk(plan, c, lo, min(lo + _CHUNK, plan.n_paths), steps)
+               for c, lo in enumerate(range(0, plan.n_paths, _CHUNK))]
     finals = np.concatenate([r[0] for r in results], axis=0)
     if return_stats:
         total_repairs = sum(r[1] for r in results)

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dunkl_lab
 from dunkl_lab import checks
 from dunkl_lab.cli import DEFAULT_SEED, build_parser, main
 
@@ -16,6 +20,18 @@ def test_usage_error_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["nonsense"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: the library runs on numpy alone
+    src = os.path.dirname(os.path.dirname(dunkl_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, dunkl_lab.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_fekete_stdout(capsys):
@@ -92,8 +108,13 @@ def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
     ["intertwine", "--type", "A", "--n", "3", "--lambda", "a"],
     ["intertwine", "--type", "A", "--n", "3", "--lambda", "2,-1"],
     ["intertwine", "--type", "B", "--n", "3", "--lambda", "1,2"],
+    ["simulate", "--type", "A", "--n", "2", "--t", "1", "--dt", "2"],
+    ["simulate", "--type", "A", "--n", "2", "--t", "0.1", "--paths", "0"],
+    ["simulate", "--type", "A", "--n", "2", "--t", "-1"],
+    ["simulate", "--type", "A", "--n", "2", "--init", "0,0", "--t", "0.1"],
 ], ids=["negative_nu", "zero_n", "init_length", "type_b_beta_below_1", "init_not_a_number",
-        "lambda_not_an_integer", "lambda_negative_part", "lambda_increasing"])
+        "lambda_not_an_integer", "lambda_negative_part", "lambda_increasing", "dt_above_t",
+        "zero_paths", "negative_t", "tied_init"])
 def test_rejected_config_is_usage_error(argv, tmp_path, capsys):
     # arguments the config or the plan refuses are usage errors, not
     # numeric failures, and nothing is written
@@ -123,19 +144,22 @@ def test_intertwine_bad_lambda_names_the_option(spec, message, capsys):
 def test_simulate_zero_scale_is_usage_error(tmp_path, capsys):
     # nu = 0 makes the beta_nu_t scale zero: refuse instead of writing zeros
     out = tmp_path / "x.csv"
-    rc = main(["simulate", "--type", "B", "--n", "2", "--nu", "0", "--t", "0.1",
-               "--dt", "1e-2", "--paths", "8", "--init", "0.5,1",
-               "--scale", "beta_nu_t", "--out", str(out)])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--type", "B", "--n", "2", "--nu", "0", "--t", "0.1",
+              "--dt", "1e-2", "--paths", "8", "--init", "0.5,1",
+              "--scale", "beta_nu_t", "--out", str(out)])
+    assert exc.value.code == 2
     assert "error: --scale beta_nu_t gives 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_simulate_numeric_failure_exit_3(tmp_path):
-    # tied initial coordinates are rejected by the plan
+def test_simulate_numeric_failure_exit_3(tmp_path, capsys):
+    # a valid start whose gap of 1e-170 overflows the drift's stiffness bound
     rc = main(["simulate", "--type", "A", "--n", "2", "--t", "0.1",
-               "--init", "0,0", "--out", str(tmp_path / "x.csv")])
+               "--init", "0,1e-170", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
+    assert "stiffness overflows" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_verify_selected_suites(tmp_path):
@@ -183,9 +207,11 @@ def test_intertwine_stdout_matches_closed_form(capsys):
     assert payload["coefficients"]["1,1"] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_intertwine_nu_limit_requires_type_b():
-    assert main(["intertwine", "--type", "A", "--lambda", "1", "--n", "2",
-                 "--limit", "nu"]) == 2
+def test_intertwine_nu_limit_requires_type_b(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["intertwine", "--type", "A", "--lambda", "1", "--n", "2", "--limit", "nu"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: the nu limit applies to type B only\n"
 
 
 def test_intertwine_b_limit(capsys):

@@ -354,6 +354,22 @@ def test_frozen_kernel_matches_series_at_large_beta():
         assert exact > 0.0
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0.05, 0.12], [-0.3, 0.4]),
+    ([0.02, 0.05, 0.12], [-0.3, 0.1, 0.4]),
+], ids=["A2", "A3"])
+def test_frozen_exact_limit_keeps_centre_of_mass_factor(x, y):
+    # the all-ones direction carries exp(sqrt(beta) sum x sum y / N) at every
+    # beta, so the exact limit keeps it: without it the ratio to the series
+    # is 0.43 (A2) and 0.28 (A3) here
+    beta = 1e4
+    cfg = RootSystemConfig(TYPE_A, len(x), beta)
+    x, y = np.array(x), np.array(y)
+    series = bessel_kernel(cfg, math.sqrt(beta) * x, y, max_degree=40)
+    exact = frozen_kernel(FrozenKernelParams(cfg, "exact_limit"), x, y)
+    assert exact == pytest.approx(series, rel=1e-3)
+
+
 def test_frozen_kernel_n1_type_a():
     cfg = RootSystemConfig(TYPE_A, 1, 1e6)
     # no roots at N=1: the kernel is exactly exp(sqrt(beta) x y)

@@ -18,6 +18,7 @@ from dunkl_lab.rootsys import (
     log_weight,
     rank,
     root_table,
+    span_complement,
 )
 
 
@@ -101,6 +102,18 @@ def test_positive_roots_hand_listed():
             ref_roots, ref_kappas = _positive_roots_by_loop(cfg)
             assert np.array_equal(roots, ref_roots)
             assert np.array_equal(kappas, ref_kappas)
+
+
+@pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 0.5)])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_span_complement_projects_off_the_roots(kind, nu, n):
+    # a symmetric projector of rank N - rank that annihilates every root
+    cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
+    p = span_complement(cfg)
+    roots, _ = _dense_roots(cfg)
+    assert np.allclose(p, p.T) and np.allclose(p @ p, p, atol=1e-15)
+    assert np.allclose(roots @ p, 0.0, atol=1e-15)
+    assert round(float(np.trace(p))) == n - rank(cfg)
 
 
 def test_root_table_is_cached_and_read_only():
