@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import time
 
@@ -34,6 +35,13 @@ def _usage_error(message):
     raise SystemExit(2)
 
 
+def _refused(exc):
+    """Usage error for a refused config or plan, naming each field by its option."""
+    option = {"n": "--n", "beta": "--beta", "nu": "--nu", "dt": "--dt", "t_final": "--t",
+              "n_paths": "--paths", "initial": "--init"}
+    _usage_error(re.sub(r"\w+", lambda m: option.get(m[0], m[0]), str(exc)))
+
+
 def _make_config(args) -> RootSystemConfig:
     kind = TYPE_A if args.type == "A" else TYPE_B
     nu = getattr(args, "nu", None) if kind == TYPE_B else None
@@ -41,7 +49,7 @@ def _make_config(args) -> RootSystemConfig:
     try:
         return RootSystemConfig(kind=kind, n=args.n, beta=beta, nu=nu)
     except ValueError as exc:
-        _usage_error(exc)
+        _refused(exc)
 
 
 def _write_manifest(path, command, params, seed, duration):
@@ -93,8 +101,6 @@ def cmd_simulate(args) -> int:
     cfg = _make_config(args)
     if args.init:
         init = _parse_values("--init", args.init, float)
-        if len(init) != cfg.n:
-            _usage_error(f"--init has {len(init)} values, --n is {cfg.n}")
     elif cfg.kind == TYPE_A:
         init = tuple(1e-2 * (i - (cfg.n - 1) / 2.0) for i in range(cfg.n))
     else:
@@ -103,7 +109,7 @@ def cmd_simulate(args) -> int:
         plan = sde.SimPlan(cfg=cfg, dt=args.dt, t_final=args.t,
                            n_paths=args.paths, seed=args.seed, initial=init)
     except ValueError as exc:
-        _usage_error(exc)
+        _refused(exc)
     if args.scale == "beta_t":
         scale = math.sqrt(cfg.beta * args.t)
     elif args.scale == "beta_nu_t":

@@ -14,7 +14,8 @@ its pair term -sum_{i<j} log|v_j^2 - v_i^2| splits into the e_j - e_i and
 e_j + e_i roots and F = |v|^2/2 - (2 nu + 1)/2 sum log|v_i| - sum_{i<j}
 log|v_j^2 - v_i^2|.  F is strictly convex on the chamber; the unique
 interior minimizer is the Hermite zero set (A) or the elementwise square
-root of the Laguerre zero set with parameter nu - 1/2 (B).
+root of the Laguerre zero set with parameter nu - 1/2 (B).  The chamber
+test (every alpha . v > 0) reads the same alpha . v as the value it guards.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ import numpy as np
 
 from .rootsys import (
     TYPE_A,
-    NEG_INF,
     RootSystemConfig,
     freezing_constant,
     gamma,
-    in_weyl_chamber,
     root_table,
     weyl_orbit,
     weyl_order,
@@ -50,9 +49,14 @@ class PotentialReport:
     potential_evaluations: int = 0
 
 
-def _require_interior(cfg, v):
-    if not in_weyl_chamber(cfg, v):
+def _interior_dot(cfg, v):
+    """alpha . v over the root table, for a point v strictly inside the chamber."""
+    if v.shape != (cfg.n,):
+        raise ValueError("coordinate vector has wrong length")
+    a = root_table(cfg).dot(v)
+    if not np.all(a > 0):
         raise ValueError("point is not strictly inside the Weyl chamber")
+    return a
 
 
 def potential(cfg: RootSystemConfig, v):
@@ -62,22 +66,21 @@ def potential(cfg: RootSystemConfig, v):
     and Hessian I + sum kappa alpha alpha^T / a^2.
     """
     v = np.asarray(v, dtype=float)
-    _require_interior(cfg, v)
+    a = _interior_dot(cfg, v)
     n, t = cfg.n, root_table(cfg)
-    a = t.dot(v)
     g = t.kappa / a
     w = g / a
     grad = v - np.bincount(t.j, g, n) - np.bincount(t.i, t.s * g, n)
     off = np.bincount(t.j * n + t.i, t.s * w, n * n).reshape(n, n)
     diag = 1.0 + np.bincount(t.j, w, n) + np.bincount(t.i, t.s**2 * w, n)
     hess = np.diag(diag) + off + off.T
-    return _value(t, v), grad, hess
+    return _value(t, v, a), grad, hess
 
 
-def _value(t, v):
-    """F(v) through |alpha . v|: reflection invariant, +inf on a wall."""
+def _value(t, v, a):
+    """F(v) from a = alpha . v through |a|: reflection invariant, +inf on a wall."""
     with np.errstate(divide="ignore"):
-        return 0.5 * float(v @ v) - float(t.kappa @ np.log(np.abs(t.dot(v))))
+        return 0.5 * float(v @ v) - float(t.kappa @ np.log(np.abs(a)))
 
 
 def _initial_guess(cfg):
@@ -105,6 +108,7 @@ def peak_set(cfg: RootSystemConfig) -> PotentialReport:
     """
     t = root_table(cfg)
     v = _initial_guess(cfg)
+    a = t.dot(v)  # alpha . v at the current point, carried from its line search
     tol = 64 * np.finfo(float).eps
     evals = 0
     prev = math.inf
@@ -113,16 +117,17 @@ def peak_set(cfg: RootSystemConfig) -> PotentialReport:
         evals += 1
         step = np.linalg.solve(hess, grad)
         dec = float(grad @ step)
-        size = max(1.0, 0.5 * float(v @ v) + float(t.kappa @ np.abs(np.log(t.dot(v)))))
+        size = max(1.0, 0.5 * float(v @ v) + float(t.kappa @ np.abs(np.log(a))))
         if dec <= tol**2 * size or (dec <= 1e-6 * size and dec >= prev):
             break
         prev = dec
         h = 1.0
         for _ in range(60):
             cand = v - h * step
-            if in_weyl_chamber(cfg, cand):
+            a = t.dot(cand)
+            if np.all(a > 0):
                 evals += 1
-                if _value(t, cand) <= val - 0.25 * h * dec + tol * size:
+                if _value(t, cand, a) <= val - 0.25 * h * dec + tol * size:
                     break
             h *= 0.5
         else:
@@ -173,7 +178,8 @@ def steady_state_logdensity(cfg: RootSystemConfig, v) -> float:
     n, b = cfg.n, cfg.beta
     pref = math.lgamma(n + 1) + n / 2.0 * math.log(
         b / (2 * math.pi) if cfg.kind == TYPE_A else 2 * b)
-    return pref - b * (_value(root_table(cfg), v) - freezing_constant(cfg))
+    t = root_table(cfg)
+    return pref - b * (_value(t, v, t.dot(v)) - freezing_constant(cfg))
 
 
 _PEAK_CACHE: dict = {}
@@ -237,38 +243,28 @@ def fke_residual(cfg: RootSystemConfig, logdensity_fn, v, h: float | None = None
     relative scale.
     """
     v = np.asarray(v, dtype=float)
-    _require_interior(cfg, v)
-    n = cfg.n
+    a = _interior_dot(cfg, v)
+    n, t = cfg.n, root_table(cfg)
     if h is None:
         h = 1e-4 * max(1.0, float(np.linalg.norm(v)))
-    t = root_table(cfg)
-    a = t.dot(v)
     # boundary margin: all stencil points must stay off the chamber walls
-    if np.any(np.abs(a) <= 2 * h):
+    if np.any(a <= 2 * h):
         raise ValueError("insufficient margin to the chamber boundary")
 
     def f(pt):
-        ld = logdensity_fn(pt)
-        return 0.0 if ld == NEG_INF else math.exp(ld)
+        return math.exp(logdensity_fn(pt))  # 0 where the log-density is -inf
 
     f0 = f(v)
-    grad = np.zeros(n)
-    lap = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fp, fm = f(v + e), f(v - e)
-        grad[i] = (fp - fm) / (2 * h)
-        lap += (fp + fm - 2 * f0) / h**2
+    eye = np.eye(n)
+    fp = np.array([f(v + d) for d in h * eye])
+    fm = np.array([f(v - d) for d in h * eye])
+    grad = (fp - fm) / (2 * h)
+    lap = sum((fp + fm - 2 * f0) / h**2)  # in coordinate order, from 0
     a2 = 1.0 + t.s**2
-    c = 2 * a / a2  # sigma_alpha v = v - c alpha
-    refl_f = np.empty(len(a))
-    for k in range(len(a)):
-        refl = v.copy()
-        refl[t.j[k]] -= c[k]
-        refl[t.i[k]] -= c[k] * t.s[k]
-        refl_f[k] = f(refl)
-    t1 = -t.kappa * (grad[t.j] + t.s * grad[t.i]) / a
+    alpha = eye[t.j] + t.s[:, None] * eye[t.i]  # one row per root
+    refl = v - (2 * a / a2)[:, None] * alpha  # row k: v reflected in root k
+    refl_f = np.array([f(r) for r in refl])
+    t1 = -t.kappa * t.dot(grad) / a
     t2 = t.kappa * a2 / 2.0 * (f0 + refl_f) / a**2
     terms = [lap / cfg.beta, float(v @ grad), n * f0, *t1, *t2]
     return FkeResidual(value=float(sum(terms)), term_scale=float(max(map(abs, terms))))

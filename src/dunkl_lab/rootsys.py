@@ -11,6 +11,8 @@ defined here.
 arrays, so a sum over roots is a gather and a `np.bincount` or a dot with
 the multiplicities; no dense root matrix is built.  Type B's pair factor
 log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
+The chamber is {x : alpha . x > 0 for every positive root alpha}: the
+chamber test and the log weight read alpha . x from `RootTable.dot`.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ import numpy as np
 
 TYPE_A = "A"
 TYPE_B = "B"
-
-#: sentinel returned by log_weight on degenerate configurations
-NEG_INF = float("-inf")
 
 #: largest N whose reflection orbit weyl_orbit enumerates
 _WEYL_CAP = {TYPE_A: 8, TYPE_B: 6}
@@ -101,8 +100,9 @@ class RootTable:
     kappa: np.ndarray
 
     def dot(self, v):
-        """alpha . v for every root, for one coordinate vector v."""
-        return v[self.j] + self.s * v[self.i]
+        """alpha . v for every root, shape (n_roots, ...) for v of shape
+        (N, ...): one point, or a particle-first batch gathered by rows."""
+        return v[self.j] + self.s.reshape((-1,) + (1,) * (v.ndim - 1)) * v[self.i]
 
 
 def root_table(cfg: RootSystemConfig) -> RootTable:
@@ -136,10 +136,7 @@ def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:
     if x.shape[-1] != cfg.n:
         raise ValueError("coordinate vector has wrong length")
     t = root_table(cfg)
-    xt = np.moveaxis(x, -1, 0)  # particle axis first, so each root gathers whole rows
-    a = xt[t.i]
-    a *= t.s.reshape((-1,) + (1,) * (x.ndim - 1))
-    a += xt[t.j]  # alpha . x, root axis first
+    a = t.dot(np.moveaxis(x, -1, 0))  # alpha . x, root axis first
     with np.errstate(divide="ignore"):
         np.log(np.abs(a, out=a), out=a)
     out = cfg.beta * np.tensordot(t.kappa, a, axes=1)
@@ -186,13 +183,12 @@ def freezing_constant(cfg: RootSystemConfig) -> float:
 
 
 def in_weyl_chamber(cfg: RootSystemConfig, x) -> bool:
-    """Strict chamber membership: ascending (A), positive ascending (B)."""
+    """Strict chamber membership, alpha . x > 0 for every positive root, so
+    a type-B +inf coordinate is outside: its root reads inf + 0 inf = NaN."""
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.n,):
         raise ValueError("coordinate vector has wrong length")
-    if cfg.kind == TYPE_B and not np.all(x > 0):
-        return False
-    return bool(np.all(np.diff(x) > 0)) if cfg.n > 1 else True
+    return bool(np.all(root_table(cfg).dot(x) > 0))
 
 
 def weyl_order(cfg: RootSystemConfig) -> int:

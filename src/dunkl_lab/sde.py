@@ -68,7 +68,7 @@ class SimPlan:
             raise ValueError("n_paths >= 1 required")
         x0 = np.asarray(self.initial, dtype=float)
         if x0.shape != (self.cfg.n,):
-            raise ValueError("initial condition has wrong length")
+            raise ValueError(f"initial has {x0.size} values, n is {self.cfg.n}")
         if not in_weyl_chamber(self.cfg, x0):  # on a wall the drift is singular
             raise ValueError("initial point must lie strictly inside the Weyl chamber")
         object.__setattr__(self, "initial", tuple(float(v) for v in x0))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -99,32 +100,38 @@ def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
         assert "error: --bins needs lo:hi:width" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--type", "B", "--n", "2", "--nu", "-1", "--t", "0.1"],
-    ["simulate", "--type", "A", "--n", "0", "--t", "0.1"],
-    ["simulate", "--type", "A", "--n", "2", "--init", "0,1,2", "--t", "0.1"],
-    ["intertwine", "--type", "B", "--n", "2", "--beta", "0.5"],
-    ["simulate", "--type", "A", "--n", "2", "--init", "0,x", "--t", "0.1"],
-    ["intertwine", "--type", "A", "--n", "3", "--lambda", "a"],
-    ["intertwine", "--type", "A", "--n", "3", "--lambda", "2,-1"],
-    ["intertwine", "--type", "B", "--n", "3", "--lambda", "1,2"],
-    ["simulate", "--type", "A", "--n", "2", "--t", "1", "--dt", "2"],
-    ["simulate", "--type", "A", "--n", "2", "--t", "0.1", "--paths", "0"],
-    ["simulate", "--type", "A", "--n", "2", "--t", "-1"],
-    ["simulate", "--type", "A", "--n", "2", "--init", "0,0", "--t", "0.1"],
+@pytest.mark.parametrize("argv, options", [
+    (["simulate", "--type", "B", "--n", "2", "--nu", "-1", "--t", "0.1"], ["--nu"]),
+    (["simulate", "--type", "A", "--n", "0", "--t", "0.1"], ["--n"]),
+    (["simulate", "--type", "A", "--n", "2", "--init", "0,1,2", "--t", "0.1"], ["--init"]),
+    (["intertwine", "--type", "B", "--n", "2", "--beta", "0.5"], ["--beta"]),
+    (["simulate", "--type", "A", "--n", "2", "--init", "0,x", "--t", "0.1"], ["--init"]),
+    (["intertwine", "--type", "A", "--n", "3", "--lambda", "a"], ["--lambda"]),
+    (["intertwine", "--type", "A", "--n", "3", "--lambda", "2,-1"], ["--lambda"]),
+    (["intertwine", "--type", "B", "--n", "3", "--lambda", "1,2"], ["--lambda"]),
+    (["simulate", "--type", "A", "--n", "2", "--t", "1", "--dt", "2"], ["--dt", "--t"]),
+    (["simulate", "--type", "A", "--n", "2", "--t", "0.1", "--paths", "0"], ["--paths"]),
+    (["simulate", "--type", "A", "--n", "2", "--t", "-1"], ["--dt", "--t"]),
+    (["simulate", "--type", "A", "--n", "2", "--init", "0,0", "--t", "0.1"], ["--init"]),
 ], ids=["negative_nu", "zero_n", "init_length", "type_b_beta_below_1", "init_not_a_number",
         "lambda_not_an_integer", "lambda_negative_part", "lambda_increasing", "dt_above_t",
         "zero_paths", "negative_t", "tied_init"])
-def test_rejected_config_is_usage_error(argv, tmp_path, capsys):
+def test_rejected_config_is_usage_error(argv, options, tmp_path, capsys):
     # arguments the config or the plan refuses are usage errors, not
-    # numeric failures, and nothing is written
+    # numeric failures, nothing is written, and the message names the
+    # options, not the library's field names
     out = tmp_path / "x.csv"
     if argv[0] == "simulate":
         argv = argv + ["--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for option in options:
+        assert re.search(rf"{option}\b", err), err
+    for field in ("t_final", "n_paths", "initial"):
+        assert field not in err
     assert not out.exists()
 
 

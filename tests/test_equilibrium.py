@@ -154,9 +154,19 @@ def test_potential_derivatives_match_finite_differences(kind, nu):
 
 
 def test_potential_rejects_wall_points():
-    cfg = RootSystemConfig(TYPE_A, 2, 2.0)
-    with pytest.raises(ValueError):
-        potential(cfg, np.array([1.0, 1.0]))
+    # every routine that needs an interior point says why it refuses one:
+    # a wrong length, a tie (A), a zero or negative coordinate (B)
+    cases = [(TYPE_A, None, [0.5, 1.0, 2.0], "wrong length"),
+             (TYPE_A, None, [1.0, 1.0], "not strictly inside the Weyl chamber"),
+             (TYPE_B, 0.5, [0.5], "wrong length"),
+             (TYPE_B, 0.5, [0.0, 1.0], "not strictly inside the Weyl chamber"),
+             (TYPE_B, 0.5, [-0.5, 1.0], "not strictly inside the Weyl chamber")]
+    fke = lambda cfg, v: fke_residual(cfg, lambda x: 0.0, v)  # noqa: E731
+    for kind, nu, v, message in cases:
+        cfg = RootSystemConfig(kind, 2, 2.0, nu=nu)
+        for fn in (potential, fke, cm_gradient_identity_residual):
+            with pytest.raises(ValueError, match=message):
+                fn(cfg, np.array(v))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 20])

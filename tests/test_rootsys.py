@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.integrate import dblquad, quad
 from dunkl_lab.rootsys import (
     TYPE_A,
     TYPE_B,
-    NEG_INF,
     RootSystemConfig,
     freezing_constant,
     gamma,
@@ -126,6 +126,15 @@ def test_root_table_is_cached_and_read_only():
     assert np.array_equal(t.dot(v), roots @ v)
     with pytest.raises(ValueError):
         t.kappa[0] = 0.0
+    # a particle-first batch (N, ...) is the per-column dot, bit for bit,
+    # signed zeros, infinities and NaNs included
+    pts = np.random.default_rng(5).normal(size=(4, 6, 3))
+    pts[0, 0, 0], pts[1, 2, 1], pts[2, 3, 2], pts[3, 5, 0] = -0.0, math.inf, math.nan, -math.inf
+    with np.errstate(invalid="ignore"):  # 0 inf on the coordinate roots
+        batch = t.dot(pts)
+        cols = np.stack([[t.dot(pts[:, p, q]) for q in range(3)] for p in range(6)])
+    assert batch.shape == (len(t.kappa), 6, 3)
+    assert np.moveaxis(cols, -1, 0).tobytes() == batch.tobytes()
 
 
 def test_log_weight_hand_values():
@@ -137,9 +146,9 @@ def test_log_weight_hand_values():
 
 
 def test_log_weight_vanishes_on_walls():
-    assert log_weight(RootSystemConfig(TYPE_A, 2, 2.0), np.array([0.3, 0.3])) == NEG_INF
+    assert log_weight(RootSystemConfig(TYPE_A, 2, 2.0), np.array([0.3, 0.3])) == -math.inf
     assert log_weight(RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5),
-                      np.array([0.0, 1.0])) == NEG_INF
+                      np.array([0.0, 1.0])) == -math.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,7 +192,18 @@ def test_log_weight_batched():
     pts = np.random.default_rng(3).normal(size=(4, 5, 3))
     pts[1, 2, 0] = 0.0
     out = log_weight(cfgb, pts)
-    assert out.shape == (4, 5) and out[1, 2] == NEG_INF
+    assert out.shape == (4, 5) and out[1, 2] == -math.inf
+    # each point's value is the per-row call's to rounding: the alpha . x
+    # gathers agree bit for bit, but the root sum is a BLAS dot for one point
+    # and a matrix-vector product for a batch, which may differ in the last bits
+    rows = np.array([[log_weight(cfgb, p) for p in row] for row in pts])
+    finite = np.isfinite(rows)
+    assert np.array_equal(np.isfinite(out), finite) and np.all(out[~finite] == rows[~finite])
+    t = root_table(cfgb)
+    with np.errstate(divide="ignore"):
+        mag = np.abs(np.log(np.abs(t.dot(np.moveaxis(pts, -1, 0)))))
+    scale = cfgb.beta * np.tensordot(t.kappa, mag, axes=1)
+    assert np.all(np.abs(out[finite] - rows[finite]) <= 4 * np.finfo(float).eps * scale[finite])
     x = pts[3, 4]  # |x1 x2 x3|^2 prod_{i<j} (x_j^2 - x_i^2)^2 at beta = 2, nu = 1/2
     ref = math.log(x.prod() ** 2 * np.prod([(x[j] ** 2 - x[i] ** 2) ** 2 for j, i in
                                             ((1, 0), (2, 0), (2, 1))]))
@@ -237,3 +257,48 @@ def test_in_weyl_chamber():
     assert in_weyl_chamber(cfgb, np.array([0.5, 1.0]))
     assert not in_weyl_chamber(cfgb, np.array([-0.5, 1.0]))
     assert not in_weyl_chamber(cfgb, np.array([0.0, 1.0]))
+    # a type-B coordinate root at +inf reads inf + 0 inf = NaN, so the point
+    # is outside, where the order test let it in; type A is unchanged
+    x = np.array([0.5, math.inf])
+    with np.errstate(invalid="ignore"):
+        assert _in_chamber_by_order(cfgb, x) and not in_weyl_chamber(cfgb, x)
+    assert in_weyl_chamber(RootSystemConfig(TYPE_A, 2, 2.0), x)
+    with pytest.raises(ValueError, match="wrong length"):
+        in_weyl_chamber(cfgb, np.array([0.5, 1.0, 2.0]))
+
+
+def _in_chamber_by_order(cfg, x):
+    # the chamber as it was written by type before the root table:
+    # ascending (A), positive and ascending (B)
+    if cfg.kind == TYPE_B and not np.all(x > 0):
+        return False
+    return bool(np.all(np.diff(x) > 0)) if cfg.n > 1 else True
+
+
+_EDGE_VALUES = (-math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 + 2**-52, math.nan)
+
+
+@pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 0.5)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_in_weyl_chamber_matches_order_test_on_edge_values(kind, nu, n):
+    # every tuple of signed zeros, subnormals, one-ulp gaps, -inf and NaN
+    cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
+    for x in itertools.product(_EDGE_VALUES, repeat=n):
+        x = np.array(x)
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 inf
+            assert in_weyl_chamber(cfg, x) == _in_chamber_by_order(cfg, x), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(TYPE_A, None), (TYPE_B, 0.5)]),
+       st.lists(st.floats(), min_size=1, max_size=5), st.booleans())
+def test_in_weyl_chamber_matches_order_test_on_draws(kind_nu, coords, ascending):
+    kind, nu = kind_nu
+    cfg = RootSystemConfig(kind, len(coords), 2.0, nu=nu)
+    x = np.sort(coords) if ascending else np.array(coords)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 inf, overflow
+        expected = _in_chamber_by_order(cfg, x)
+        got = in_weyl_chamber(cfg, x)
+    if kind == TYPE_B and np.any(x == math.inf):  # the one point of difference
+        expected = False
+    assert got == expected
