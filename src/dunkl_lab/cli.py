@@ -52,13 +52,14 @@ def _make_config(args) -> RootSystemConfig:
         _refused(exc)
 
 
-def _write_manifest(path, command, params, seed, duration):
+def _write_manifest(path, command, params, seed, duration, **records):
     manifest = {
         "command": command,
         "parameters": params,
         "seed": seed,
         "artifact_version": __version__,
         "wall_clock_seconds": duration,
+        **records,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -121,7 +122,7 @@ def cmd_simulate(args) -> int:
     lo, hi, width = _parse_bins(args.bins)
     if not 0 < scale < math.inf:
         _usage_error(f"--scale {args.scale} gives {scale}, not a finite scale > 0")
-    finals = sde.simulate_paths(plan)
+    finals, stats = sde.simulate_paths(plan, return_stats=True)
     hist = sde.scaled_histogram(finals, scale, lo, hi, width)
     dens = hist.density(plan.n_paths)
     edges = hist.edges()
@@ -147,7 +148,8 @@ def cmd_simulate(args) -> int:
         "t": args.t, "dt": args.dt, "paths": args.paths, "init": list(init),
         "scale": args.scale, "bins": args.bins, "exact": bool(args.exact),
         "out": args.out,
-    }, args.seed, time.time() - t0)
+    }, args.seed, time.time() - t0,
+        sde={k: stats[k] for k in ("n_steps", "particle_steps", "repairs", "workers")})
     return 0
 
 

@@ -186,9 +186,16 @@ _PEAK_CACHE: dict = {}
 
 
 def _cached_peak(cfg):
+    """The peak set s of cfg, the potential's Hessian H at s and log det H,
+    computed once per (kind, n, nu): none of them depends on beta."""
     key = (cfg.kind, cfg.n, cfg.nu)
     if key not in _PEAK_CACHE:
-        _PEAK_CACHE[key] = peak_set(cfg)
+        s = peak_set(cfg).minimizer
+        _, _, hess = potential(cfg, s)
+        sign, logdet = np.linalg.slogdet(hess)
+        if sign <= 0:
+            raise ArithmeticError("Hessian not positive definite at the peak set")
+        _PEAK_CACHE[key] = s, hess, logdet
     return _PEAK_CACHE[key]
 
 
@@ -202,15 +209,10 @@ def gaussian_steady_approx(cfg: RootSystemConfig, v) -> float:
     """
     v = np.asarray(v, dtype=float)
     n, b = cfg.n, cfg.beta
-    rep = _cached_peak(cfg)
-    s = rep.minimizer
-    _, _, hess = potential(cfg, s)
+    s, hess, logdet = _cached_peak(cfg)
     orbit = weyl_orbit(cfg, s)
     diffs = v[None, :] - orbit
     quad = np.einsum("ki,ij,kj->k", diffs, hess, diffs)
-    sign, logdet = np.linalg.slogdet(hess)
-    if sign <= 0:
-        raise ArithmeticError("Hessian not positive definite at the peak set")
     pref = (
         n / 2.0 * math.log(b)
         + 0.5 * logdet

@@ -10,8 +10,10 @@ type A, absolute value then sort for type B): this is the chamber-radial
 process, so projecting the numerical path is consistent with the model.
 
 A batch of m paths is held particle-major, as an array of shape (N, m)
-with one contiguous row per particle (`_Batch`), so each root of the drift
-reads two whole rows and accumulates into buffers that every step reuses.
+with one contiguous row per particle (`_Batch`).  The drift is taken one
+row j at a time: all roots of that row form one block of reciprocals, which
+is summed into b_j and subtracted from (or, for e_j + e_i, added to) the
+rows below, so every b_k accumulates its roots in the root table's order.
 One routine, `_Batch.step`, takes the step x += b h + sqrt(h) noise^T and
 projects; the ensemble, the noise-free schedule path, `euler_step` and
 `drift` (m = 1) all go through it.  The projection re-sorts only the paths
@@ -31,11 +33,18 @@ at dt gets uniform steps of dt.
 Ensembles are integrated one fixed-size path chunk after another; each
 chunk draws its noise as (m, N) from its own counter-based Philox stream
 keyed by (seed, chunk index), so a path's bits depend only on the plan.
+Inside a chunk the paths are cut into contiguous column tiles, one per core
+that the process's CPU affinity allows (a small chunk stays whole).  Each
+step, a pool of as many threads steps the tiles and draws the next step's
+noise from the chunk's one stream, in the same order as on one core, so
+the bits do not depend on the number of cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +53,9 @@ from numpy.random import Generator, Philox
 from .rootsys import TYPE_B, RootSystemConfig, in_weyl_chamber, root_table
 
 _CHUNK = 1 << 14  # fixed: part of the deterministic stream layout
+# fewest particles (paths x N) worth a worker of their own within a chunk: a
+# pooled step costs about 0.1 ms more than a serial one on a 2-core x86 VM
+_TILE = 1 << 13
 
 
 @dataclass
@@ -113,34 +125,50 @@ class _Batch:
         self.cfg = cfg
         self.x = x
         n, m = x.shape
-        self.b = np.empty_like(x)
-        self._g = np.empty(m)
+        # numpy sums a one-column block pairwise, not row by row, so a single
+        # path is worked as two equal columns and read back from the first
+        w = max(m, 2)
+        self.b = np.empty((n, w))
         self._signed = cfg.kind == TYPE_B  # chamber 0 < x_1 < ... < x_N: reflect at 0
         # one row per chamber wall: x_{k+1} > x_k, and for type B x_1 > 0 first
         self._walls = np.empty((n - 1 + self._signed, m), dtype=bool)
         self._ok = np.empty(m, dtype=bool)
+        # The table lists the pair roots row by row, j = 1..N-1 and i < j in
+        # order (e_j - e_i, then e_j + e_i where the table mirrors), and the
+        # coordinate roots e_j last, each with one kappa.
         t = root_table(cfg)
-        # per root: its sign s, the rows of x and b it reads and writes, kappa
-        self._terms = [(s, x[j], x[i], self.b[j], self.b[i], k) for i, j, s, k in
-                       zip(t.i.tolist(), t.j.tolist(), t.s.tolist(), t.kappa.tolist())]
+        self._mirror = bool(np.any(t.s > 0))
+        blk = np.empty((max(n - 1, 1), 1 + self._mirror, w))  # the largest row's 1/(alpha . x)
+        coord = t.s == 0
+        self._coord = None
+        if coord.any():  # kappa / x_j, formed in the block's first N rows
+            self._coord = t.kappa[coord][:, None], blk.reshape(-1, w)[:n]
+        self._rows = [(x[j], x[:j], blk[:j], blk[:j].reshape(-1, w), self.b[j], self.b[:j])
+                      for j in range(1, n)]
 
     def drift(self):
-        """The drift of x into self.b (kappa = 1 on pair roots); no domain checks."""
-        b, g = self.b, self._g
-        b.fill(0.0)
-        for s, xj, xi, bj, bi, k in self._terms:
-            if s < 0:
-                np.divide(1.0, np.subtract(xj, xi, out=g), out=g)
-                bj += g
-                bi -= g
-            elif s > 0:
-                np.divide(1.0, np.add(xj, xi, out=g), out=g)
-                bj += g
-                bi += g
-            else:  # coordinate root e_j
-                bj += np.divide(k, xj, out=g)
+        """The drift of x, as a view of self.b of x's shape; no domain checks.
+
+        Row j takes its roots as one block, 1/(x_j - x_i) and 1/(x_j + x_i)
+        interleaved in the table's order, sums the block into b_j, then
+        updates b_i for i < j: each b_k accumulates its roots in table order.
+        """
+        b, m = self.b, self.x.shape[1]
+        b[0] = 0.0
+        for xj, xlo, blk, flat, bj, blo in self._rows:
+            np.subtract(xj, xlo, out=blk[:, 0])
+            if self._mirror:
+                np.add(xj, xlo, out=blk[:, 1])
+            np.divide(1.0, blk, out=blk)
+            np.add.reduce(flat, axis=0, out=bj)
+            blo -= blk[:, 0]
+            if self._mirror:
+                blo += blk[:, 1]
+        if self._coord:
+            kappa, buf = self._coord
+            b += np.divide(kappa, self.x, out=buf)
         b *= self.cfg.beta / 2.0
-        return b
+        return b[:, :m]
 
     def step(self, h, noise=None):
         """One step of length h, then the chamber projection; returns the
@@ -243,18 +271,52 @@ def _step_schedule(cfg, x0, dt, t_final):
     return steps
 
 
-def _run_chunk(plan, chunk_index, lo, hi, steps):
+def _workers():
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _tiles(m, n, workers):
+    """Column edges (a, c) of the contiguous tiles of an m-path chunk of N = n
+    particles: one per worker, each of at least _TILE particles, or the
+    whole chunk."""
+    k = max(1, min(workers, m * n // _TILE))
+    return [(m * q // k, m * (q + 1) // k) for q in range(k)]
+
+
+def _run_chunk(plan, chunk_index, lo, hi, steps, pool=None):
     """Finals (m, N) and repair count of paths lo..hi, the chunk's noise drawn
-    as (m, N) from its own Philox stream."""
+    as (m, N) from its own Philox stream.
+
+    With a pool of w workers the m columns are cut into _tiles(m, N, w), each
+    stepped by a worker on its own rows of the step's noise while another
+    draws the next step's noise; a chunk of one tile runs in this thread.
+    The noise is drawn in the same order either way, so are the bits.
+    """
     key = (int(plan.seed) & ((1 << 64) - 1)) + (chunk_index << 64)
     rng = Generator(Philox(key=key))
     m = hi - lo
     x = np.repeat(np.asarray(plan.initial, dtype=float)[:, None], m, axis=1)
-    paths = _Batch(plan.cfg, x)
-    noise = np.empty((m, plan.cfg.n))
+    tiles = [(a, c, _Batch(plan.cfg, x[:, a:c]))
+             for a, c in _tiles(m, plan.cfg.n, pool._max_workers if pool else 1)]
+    cur = np.empty((m, plan.cfg.n))
     repairs = 0
-    for h in steps:
-        repairs += paths.step(h, rng.standard_normal(out=noise))
+    if len(tiles) == 1:  # the whole chunk, in this thread
+        for h in steps:
+            repairs += tiles[0][2].step(h, rng.standard_normal(out=cur))
+        return x.T, repairs
+    nxt = np.empty_like(cur)  # the next step's noise, drawn while cur is stepped
+    rng.standard_normal(out=cur)
+    for k, h in enumerate(steps):
+        draw = pool.submit(rng.standard_normal, out=nxt) if k + 1 < len(steps) else None
+        done = [pool.submit(tile.step, h, cur[a:c]) for a, c, tile in tiles]
+        repairs += sum(f.result() for f in done)
+        if draw is not None:
+            draw.result()
+        cur, nxt = nxt, cur
     return x.T, repairs
 
 
@@ -264,18 +326,23 @@ def simulate_paths(plan: SimPlan, return_stats: bool = False):
     Deterministic for a given plan: each fixed-size chunk of paths owns a
     Philox stream keyed by (seed, chunk).  plan.dt is the largest step;
     steps near a stiff start are shorter (see _step_schedule), and all
-    chunks share the one schedule.
+    chunks share the one schedule.  Chunks run one after another, each on
+    every core this process may use (see _run_chunk); the bits do not
+    depend on the number of cores.
     """
     steps = _step_schedule(plan.cfg, plan.initial, plan.dt, plan.t_final)
-    results = [_run_chunk(plan, c, lo, min(lo + _CHUNK, plan.n_paths), steps)
-               for c, lo in enumerate(range(0, plan.n_paths, _CHUNK))]
+    bounds = [(lo, min(lo + _CHUNK, plan.n_paths)) for lo in range(0, plan.n_paths, _CHUNK)]
+    workers = _workers()
+    with ThreadPoolExecutor(workers) as pool:
+        results = [_run_chunk(plan, c, lo, hi, steps, pool) for c, (lo, hi) in enumerate(bounds)]
     finals = np.concatenate([r[0] for r in results], axis=0)
     if return_stats:
-        total_repairs = sum(r[1] for r in results)
         stats = {
-            "repairs": total_repairs,
+            "repairs": sum(r[1] for r in results),
             "particle_steps": plan.n_paths * len(steps) * plan.cfg.n,
             "n_steps": len(steps),
+            "workers": workers,
+            "tiles": sum(len(_tiles(hi - lo, plan.cfg.n, workers)) for lo, hi in bounds),
         }
         return finals, stats
     return finals

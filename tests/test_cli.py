@@ -76,6 +76,9 @@ def test_simulate_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "dens.csv.manifest.json").read_text())
     assert manifest["seed"] == DEFAULT_SEED
     assert manifest["parameters"]["paths"] == 512
+    # 50 uniform steps from a start that is not stiff at dt
+    assert manifest["sde"] == {"n_steps": 50, "particle_steps": 512 * 50 * 2, "repairs": 0,
+                               "workers": len(os.sched_getaffinity(0))}
 
 
 def test_simulate_exact_column_empty_off_beta2(tmp_path):

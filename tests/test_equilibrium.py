@@ -284,6 +284,41 @@ def test_gaussian_steady_approx_mass_large_beta():
     assert val == pytest.approx(1.0, rel=0.02)
 
 
+def _gaussian_steady_by_potential(cfg, v):
+    """gaussian_steady_approx with the Hessian rebuilt on every call, the form
+    that the cached Hessian replaced, kept as its oracle."""
+    s = peak_set(cfg).minimizer
+    _, _, hess = potential(cfg, s)
+    diffs = v[None, :] - weyl_orbit(cfg, s)
+    quad = np.einsum("ki,ij,kj->k", diffs, hess, diffs)
+    _, logdet = np.linalg.slogdet(hess)
+    pref = (cfg.n / 2.0 * math.log(cfg.beta) + 0.5 * logdet
+            - cfg.n / 2.0 * math.log(2 * math.pi) - math.log(weyl_order(cfg)))
+    return float(np.exp(pref) * np.sum(np.exp(-cfg.beta * quad / 2.0)))
+
+
+@pytest.mark.parametrize("cfg", [RootSystemConfig(TYPE_A, 2, 20.0),
+                                 RootSystemConfig(TYPE_A, 4, 3.0),
+                                 RootSystemConfig(TYPE_B, 3, 7.5, nu=0.5)],
+                         ids=["A2", "A4", "B3"])
+def test_gaussian_steady_approx_builds_the_hessian_once(cfg, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_PEAK_CACHE", {})
+    calls = []
+    monkeypatch.setattr(equilibrium, "potential",
+                        lambda *a: calls.append(1) or potential(*a))
+    rng = np.random.default_rng(cfg.n)
+    points = [_rand_interior(cfg, rng) for _ in range(5)]
+    values = [gaussian_steady_approx(cfg, points[0])]
+    first = len(calls)  # the peak set's Newton solve and the Hessian
+    assert first > 0
+    values += [gaussian_steady_approx(cfg, v) for v in points[1:]]
+    # another beta reuses the peak set, the Hessian and its determinant
+    other = RootSystemConfig(cfg.kind, cfg.n, 2 * cfg.beta, nu=cfg.nu)
+    assert gaussian_steady_approx(other, points[0]) > 0
+    assert len(calls) == first
+    assert values == [_gaussian_steady_by_potential(cfg, v) for v in points]
+
+
 def test_gaussian_steady_matches_exact_density_at_large_beta():
     # the two objects carry different normalizations: the approximation has
     # unit mass on R^N while the steady form uses the N!(beta/2pi)^{N/2}

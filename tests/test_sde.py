@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,6 +147,21 @@ def test_table_drift_matches_pair_loop_bit_for_bit(cfg):
     assert np.array_equal(batch.drift().T, _drift_by_pairs(cfg, x))
 
 
+_ROW_CASES = [RootSystemConfig(TYPE_A, n, 2.0) for n in (9, 17, 32, 100)] + [
+    RootSystemConfig(TYPE_B, n, 3.7, nu=0.5) for n in (9, 17, 32, 100)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cfg", _ROW_CASES, ids=lambda c: f"{c.kind}{c.n}")
+def test_row_blocked_drift_matches_pair_loop_on_few_paths(cfg, m):
+    # numpy sums a one-column block pairwise; rows of 8 or more roots show it
+    x = _chamber_batch(cfg, m, seed=cfg.n + m)
+    ref = _drift_by_pairs(cfg, x)
+    assert np.array_equal(sde._Batch(cfg, np.ascontiguousarray(x.T)).drift().T, ref)
+    if m == 1:
+        assert np.array_equal(drift(cfg, x[0]), ref[0])
+
+
 _CHUNK_CASES = [
     # the crowded benchmark's sizes: no path leaves the chamber
     (RootSystemConfig(TYPE_A, 32, 2.0), tuple(np.linspace(-16.0, 16.0, 32)), 1e-3, 10, 4096),
@@ -170,6 +188,77 @@ def test_particle_major_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
     assert repairs == ref_repairs
     if cfg.n == 32:
         assert repairs == 0
+
+
+_TILED_CASES = [
+    (RootSystemConfig(TYPE_A, 32, 2.0), tuple(np.linspace(-16.0, 16.0, 32)), 1e-3, 10, 4096),
+    (RootSystemConfig(TYPE_B, 32, 2.0, nu=0.5), tuple(np.arange(1.0, 33.0)), 1e-3, 10, 4096),
+    # uneven tiles (4097 and 4098 paths), about 8% of the paths re-sorted each step
+    (RootSystemConfig(TYPE_A, 3, 0.5), (0.0, 0.05, 0.1), 5e-2, 40, 8195),
+    (RootSystemConfig(TYPE_A, 7, 1e4), tuple(0.01 * i for i in range(-3, 4)), 5e-5, 100, 8192),
+]
+
+
+class _CountingPool(ThreadPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cfg, x0, dt, n_steps, m", _TILED_CASES,
+                         ids=["A32", "B32_nu0.5", "A3_beta0.5_uneven", "criterion4"])
+def test_tiled_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
+    plan = SimPlan(cfg=cfg, dt=dt, t_final=dt * n_steps, n_paths=m, seed=7, initial=x0)
+    steps = sde._step_schedule(cfg, x0, dt, plan.t_final)
+    with _CountingPool(2) as pool:
+        finals, repairs = sde._run_chunk(plan, 0, 0, m, steps, pool)
+    # two tiles each step, and every draw but the first
+    assert pool.submitted == 3 * len(steps) - 1
+    ref, ref_repairs = _run_chunk_rows(plan, 0, 0, m, steps)
+    assert np.array_equal(finals, ref)
+    assert repairs == ref_repairs
+
+
+def test_tiled_chunk_with_more_workers_than_cores():
+    # three tiles on four threads, switching every 10 us: a lost update to
+    # a shared buffer or a draw out of turn would change the bits
+    cfg = RootSystemConfig(TYPE_B, 4, 1.0, nu=0.0)
+    m = 6150
+    plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.4, n_paths=m, seed=9,
+                   initial=(0.01, 0.02, 0.03, 0.04))
+    steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _CountingPool(4) as pool:
+            finals, repairs = sde._run_chunk(plan, 0, 0, m, steps, pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.submitted == 4 * len(steps) - 1
+    ref, ref_repairs = _run_chunk_rows(plan, 0, 0, m, steps)
+    assert np.array_equal(finals, ref)
+    assert repairs == ref_repairs
+
+
+def test_two_chunks_and_a_partial_one_do_not_depend_on_the_pool():
+    cfg = RootSystemConfig(TYPE_B, 2, 1.0, nu=0.0)
+    n_paths = 2 * sde._CHUNK + 300
+    plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.1, n_paths=n_paths, seed=6,
+                   initial=(0.01, 0.02))
+    steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
+    chunks = [(0, 0, sde._CHUNK), (1, sde._CHUNK, 2 * sde._CHUNK), (2, 2 * sde._CHUNK, n_paths)]
+    serial = [sde._run_chunk(plan, c, lo, hi, steps) for c, lo, hi in chunks]
+    with ThreadPoolExecutor(2) as pool:
+        pooled = [sde._run_chunk(plan, c, lo, hi, steps, pool) for c, lo, hi in chunks]
+    for (f0, r0), (f1, r1) in zip(serial, pooled):
+        assert np.array_equal(f0, f1) and r0 == r1
+    finals, stats = simulate_paths(plan, return_stats=True)
+    assert np.array_equal(finals, np.concatenate([f for f, _ in serial]))
+    assert stats["repairs"] == sum(r for _, r in serial)
+    assert stats["workers"] == len(os.sched_getaffinity(0))
+    assert stats["tiles"] == 2 * min(2, stats["workers"]) + 1
 
 
 def test_partial_chunk_matches_rows_bit_for_bit():
