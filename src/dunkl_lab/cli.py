@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
         "scale": args.scale, "bins": args.bins, "exact": bool(args.exact),
         "out": args.out,
     }, args.seed, time.time() - t0,
-        sde={k: stats[k] for k in ("n_steps", "particle_steps", "repairs", "workers")})
+        sde={k: v for k, v in stats.items() if k != "tiles"})
     return 0
 
 

@@ -41,8 +41,8 @@ def _laguerre_coeffs(n: int, alpha: float):
     return 2 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
 
 
-def _recurrence(a, b, x):
-    """(p_n, p_n', sum_{k<n} p_k^2, logscale) at x, with n = len(a) - 1.
+def _recurrence(a, b, x, squares=False):
+    """(p_n, p_n', sum_{k<n} p_k^2 if squares else None, logscale) at x, n = len(a) - 1.
 
     Runs x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1} from p_0 = 1, so
     the p_k are orthonormal for the weight divided by its mass.  The true
@@ -56,10 +56,10 @@ def _recurrence(a, b, x):
     x = np.asarray(x, dtype=float)
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     d_prev, d = np.zeros_like(x), np.zeros_like(x)
-    total = np.zeros_like(x)
+    total = np.zeros_like(x) if squares else None
     logscale = np.zeros_like(x)
     for ak, bk, bk1 in zip(a[:-1].tolist(), b[:-1].tolist(), b[1:].tolist()):
-        total = total + p * p
+        total = total + p * p if squares else None
         c = x - ak
         p_prev, p, d_prev, d = (
             p,
@@ -72,7 +72,7 @@ def _recurrence(a, b, x):
         if np.any(big):
             factor = np.where(big, size, 1.0)
             p, p_prev, d, d_prev = p / factor, p_prev / factor, d / factor, d_prev / factor
-            total = total / (factor * factor)
+            total = total / (factor * factor) if squares else None
             logscale = logscale + np.log(factor)
     return p, d, total, logscale
 
@@ -177,7 +177,7 @@ def density_a_exact(n: int, t: float, y):
         raise ValueError("t > 0 required")
     y = np.asarray(y, dtype=float)
     u = y / math.sqrt(2 * t)
-    _, _, total, logscale = _recurrence(*_hermite_coeffs(n), u)
+    _, _, total, logscale = _recurrence(*_hermite_coeffs(n), u, squares=True)
     dens = np.exp(np.log(total) + 2 * logscale - u * u - 0.5 * math.log(2 * math.pi * t))
     return float(dens) if dens.ndim == 0 else dens
 
@@ -199,7 +199,7 @@ def density_b_exact(n: int, nu: float, t: float, y):
     if np.any(y <= 0):
         raise ValueError("y > 0 required")
     u = y * y / (2 * t)
-    _, _, total, logscale = _recurrence(*_laguerre_coeffs(n, nu), u)
+    _, _, total, logscale = _recurrence(*_laguerre_coeffs(n, nu), u, squares=True)
     with np.errstate(divide="ignore"):  # y^2 may underflow: log 0 = -inf gives u^nu = 0
         u_nu = nu * np.log(u) if nu else 0.0  # u^0 = 1, also at u = 0
     dens = np.exp(np.log(total) + 2 * logscale + u_nu - u - math.lgamma(nu + 1)) * y / t

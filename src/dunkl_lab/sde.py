@@ -30,14 +30,12 @@ stiffness along the noise-free path, so explicit Euler does not throw the
 particles past where the drift would take them.  A start that is not stiff
 at dt gets uniform steps of dt.
 
-Ensembles are integrated one fixed-size path chunk after another; each
-chunk draws its noise as (m, N) from its own counter-based Philox stream
-keyed by (seed, chunk index), so a path's bits depend only on the plan.
-Inside a chunk the paths are cut into contiguous column tiles, one per core
-that the process's CPU affinity allows (a small chunk stays whole).  Each
-step, a pool of as many threads steps the tiles and draws the next step's
-noise from the chunk's one stream, in the same order as on one core, so
-the bits do not depend on the number of cores.
+Ensembles are integrated one fixed-size path chunk after another.  Lane l,
+paths 1024 l to 1024 l + 1023, draws its noise from its own SFC64 stream
+keyed by (seed, l), so a path's bits depend only on the plan.  A chunk's
+lanes are grouped into one tile per core that the CPU affinity allows (a
+small chunk stays whole); each tile draws its own noise and runs the whole
+schedule on its own thread, with no per-step wait.
 """
 
 from __future__ import annotations
@@ -48,14 +46,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .rootsys import TYPE_B, RootSystemConfig, in_weyl_chamber, root_table
 
-_CHUNK = 1 << 14  # fixed: part of the deterministic stream layout
-# fewest particles (paths x N) worth a worker of their own within a chunk: a
-# pooled step costs about 0.1 ms more than a serial one on a 2-core x86 VM
-_TILE = 1 << 13
+_CHUNK = 1 << 14  # paths held in memory at once, a multiple of _LANE
+_LANE = 1 << 10  # paths per noise stream: fixed, part of the deterministic stream layout
+_TILE = 1 << 13  # fewest particles (paths x N) worth a worker of their own
 
 
 @dataclass
@@ -119,12 +116,14 @@ class _Batch:
     The step x += b h + sqrt(h) noise^T rounds exactly as the same step
     written on (m, N) rows: the drift b sums the root table in its order,
     and b h and sqrt(h) noise are formed before they are added to x.
+    bias accumulates sum_k |h_k b(X_k)|^2 per path, summed particle by particle.
     """
 
     def __init__(self, cfg, x):
         self.cfg = cfg
         self.x = x
         n, m = x.shape
+        self.bias = np.zeros(m)
         # numpy sums a one-column block pairwise, not row by row, so a single
         # path is worked as two equal columns and read back from the first
         w = max(m, 2)
@@ -176,6 +175,7 @@ class _Batch:
         in place; without it the step follows the noise-free path."""
         b = self.drift()
         b *= h
+        self.bias += np.einsum("ij,ij->j", b, b)
         if noise is not None:
             noise *= math.sqrt(h)
             b += noise.T
@@ -280,67 +280,66 @@ def _workers():
 
 
 def _tiles(m, n, workers):
-    """Column edges (a, c) of the contiguous tiles of an m-path chunk of N = n
-    particles: one per worker, each of at least _TILE particles, or the
-    whole chunk."""
-    k = max(1, min(workers, m * n // _TILE))
-    return [(m * q // k, m * (q + 1) // k) for q in range(k)]
+    """Column edges (a, c) of the tiles of an m-path chunk of N = n
+    particles: contiguous groups of whole lanes, one per worker, each of at
+    least _TILE particles, or the whole chunk."""
+    lanes = -(-m // _LANE)
+    k = max(1, min(workers, lanes, m * n // _TILE))
+    return [(min(m, _LANE * (lanes * q // k)), min(m, _LANE * (lanes * (q + 1) // k)))
+            for q in range(k)]
 
 
-def _run_chunk(plan, chunk_index, lo, hi, steps, pool=None):
-    """Finals (m, N) and repair count of paths lo..hi, the chunk's noise drawn
-    as (m, N) from its own Philox stream.
+def _run_tile(batch, noise, lanes, steps):
+    """Each step, fill each lane's rows of noise from its stream and step
+    the batch; returns the repair count."""
+    repairs = 0
+    for h in steps:
+        for rng, rows in lanes:
+            rng.standard_normal(out=rows)
+        repairs += batch.step(h, noise)
+    return repairs
 
-    With a pool of w workers the m columns are cut into _tiles(m, N, w), each
-    stepped by a worker on its own rows of the step's noise while another
-    draws the next step's noise; a chunk of one tile runs in this thread.
-    The noise is drawn in the same order either way, so are the bits.
-    """
-    key = (int(plan.seed) & ((1 << 64) - 1)) + (chunk_index << 64)
-    rng = Generator(Philox(key=key))
+
+def _run_chunk(plan, lo, hi, steps, pool):
+    """Finals (m, N), repairs and summed per-path Euler bias of paths lo..hi, lo
+    a multiple of _LANE.  Each of _tiles(m, N, workers) is one pool task that
+    runs the whole schedule on its columns of x and rows of the (m, N) noise;
+    all buffers are made in this thread.  The bias is summed over the paths in
+    order, so, like the finals, it does not depend on the tiles."""
+    seed = int(plan.seed) & ((1 << 64) - 1)
     m = hi - lo
     x = np.repeat(np.asarray(plan.initial, dtype=float)[:, None], m, axis=1)
-    tiles = [(a, c, _Batch(plan.cfg, x[:, a:c]))
-             for a, c in _tiles(m, plan.cfg.n, pool._max_workers if pool else 1)]
-    cur = np.empty((m, plan.cfg.n))
-    repairs = 0
-    if len(tiles) == 1:  # the whole chunk, in this thread
-        for h in steps:
-            repairs += tiles[0][2].step(h, rng.standard_normal(out=cur))
-        return x.T, repairs
-    nxt = np.empty_like(cur)  # the next step's noise, drawn while cur is stepped
-    rng.standard_normal(out=cur)
-    for k, h in enumerate(steps):
-        draw = pool.submit(rng.standard_normal, out=nxt) if k + 1 < len(steps) else None
-        done = [pool.submit(tile.step, h, cur[a:c]) for a, c, tile in tiles]
-        repairs += sum(f.result() for f in done)
-        if draw is not None:
-            draw.result()
-        cur, nxt = nxt, cur
-    return x.T, repairs
+    noise = np.empty((m, plan.cfg.n))
+    tiles = [(_Batch(plan.cfg, x[:, a:c]), noise[a:c],
+              [(Generator(SFC64(SeedSequence(seed, spawn_key=((lo + p) // _LANE,)))),
+                noise[p:min(p + _LANE, c)]) for p in range(a, c, _LANE)])
+             for a, c in _tiles(m, plan.cfg.n, pool._max_workers)]
+    done = [pool.submit(_run_tile, *tile, steps) for tile in tiles]
+    return x.T, sum(f.result() for f in done), np.concatenate([t[0].bias for t in tiles]).sum()
 
 
 def simulate_paths(plan: SimPlan, return_stats: bool = False):
     """Integrate n_paths independent trajectories; returns finals (n_paths, N).
 
-    Deterministic for a given plan: each fixed-size chunk of paths owns a
-    Philox stream keyed by (seed, chunk).  plan.dt is the largest step;
-    steps near a stiff start are shorter (see _step_schedule), and all
-    chunks share the one schedule.  Chunks run one after another, each on
-    every core this process may use (see _run_chunk); the bits do not
-    depend on the number of cores.
+    Deterministic for a given plan at any core count: each lane of 1024
+    paths owns an SFC64 stream keyed by (seed, lane).  plan.dt is the
+    largest step; steps near a stiff start are shorter (see _step_schedule).
+    The stats' `euler_bias` is the mean of sum_k |h_k b(X_k)|^2: as x . b(x)
+    = beta gamma / 2 and the projection keeps |x|^2, it is exactly explicit
+    Euler's excess of E|X_t|^2 over |x_0|^2 + (N + beta gamma) t.
     """
     steps = _step_schedule(plan.cfg, plan.initial, plan.dt, plan.t_final)
     bounds = [(lo, min(lo + _CHUNK, plan.n_paths)) for lo in range(0, plan.n_paths, _CHUNK)]
     workers = _workers()
     with ThreadPoolExecutor(workers) as pool:
-        results = [_run_chunk(plan, c, lo, hi, steps, pool) for c, (lo, hi) in enumerate(bounds)]
+        results = [_run_chunk(plan, lo, hi, steps, pool) for lo, hi in bounds]
     finals = np.concatenate([r[0] for r in results], axis=0)
     if return_stats:
         stats = {
             "repairs": sum(r[1] for r in results),
             "particle_steps": plan.n_paths * len(steps) * plan.cfg.n,
             "n_steps": len(steps),
+            "euler_bias": float(sum(r[2] for r in results) / plan.n_paths),
             "workers": workers,
             "tiles": sum(len(_tiles(hi - lo, plan.cfg.n, workers)) for lo, hi in bounds),
         }

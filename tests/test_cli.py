@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dunkl_lab
-from dunkl_lab import checks
+from dunkl_lab import checks, sde
 from dunkl_lab.cli import DEFAULT_SEED, build_parser, main
 
 
@@ -77,8 +77,12 @@ def test_simulate_csv_and_manifest(tmp_path):
     assert manifest["seed"] == DEFAULT_SEED
     assert manifest["parameters"]["paths"] == 512
     # 50 uniform steps from a start that is not stiff at dt
+    plan = sde.SimPlan(cfg=dunkl_lab.RootSystemConfig("A", 2, 2.0), dt=1e-2, t_final=0.5,
+                       n_paths=512, seed=DEFAULT_SEED, initial=(0.0, 1.0))
+    bias = sde.simulate_paths(plan, return_stats=True)[1]["euler_bias"]
+    assert bias > 0
     assert manifest["sde"] == {"n_steps": 50, "particle_steps": 512 * 50 * 2, "repairs": 0,
-                               "workers": len(os.sched_getaffinity(0))}
+                               "euler_bias": bias, "workers": len(os.sched_getaffinity(0))}
 
 
 def test_simulate_exact_column_empty_off_beta2(tmp_path):

@@ -6,6 +6,8 @@ from scipy.integrate import quad, trapezoid
 from scipy.special import gammaln, roots_genlaguerre, roots_hermite
 
 from dunkl_lab.orthopoly import (
+    _hermite_coeffs,
+    _laguerre_coeffs,
     _polish,
     density_a_exact,
     density_b_exact,
@@ -89,6 +91,44 @@ def test_laguerre_derivative_identity(alpha):
     _, deriv = laguerre_eval(n, alpha, x)
     ref, _ = laguerre_eval(n - 1, alpha + 1, x)
     np.testing.assert_allclose(deriv, -ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def _recurrence_with_squares(a, b, x):
+    """orthopoly._recurrence as it was when every caller paid for the sum of
+    p_k^2, kept as the oracle that skipping the sum leaves p_n and p_n'."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    logscale = np.zeros_like(x)
+    for ak, bk, bk1 in zip(a[:-1].tolist(), b[:-1].tolist(), b[1:].tolist()):
+        total = total + p * p
+        c = x - ak
+        p_prev, p, d_prev, d = (
+            p, (c * p - bk * p_prev) / bk1, d, (c * d + p - bk * d_prev) / bk1)
+        size = np.maximum(np.abs(p), np.abs(d))
+        big = size > 1e120
+        if np.any(big):
+            factor = np.where(big, size, 1.0)
+            p, p_prev, d, d_prev = p / factor, p_prev / factor, d / factor, d_prev / factor
+            total = total / (factor * factor)
+            logscale = logscale + np.log(factor)
+    return p, d, total, logscale
+
+
+@pytest.mark.parametrize("zeros, coeffs", [
+    (lambda: hermite_zeros(300), lambda: _hermite_coeffs(300)),
+    (lambda: laguerre_zeros(300, 0.5), lambda: _laguerre_coeffs(300, 0.5)),
+    (lambda: laguerre_zeros(300, -0.4), lambda: _laguerre_coeffs(300, -0.4)),
+    # rescaled past 1e120 near the largest zeros
+    (lambda: laguerre_zeros(1000, 20.0), lambda: _laguerre_coeffs(1000, 20.0)),
+], ids=["H300", "L300_0.5", "L300_-0.4", "L1000_20"])
+def test_zeros_match_the_summing_recurrence_bit_for_bit(zeros, coeffs):
+    a, b = coeffs()
+    n = len(a) - 1
+    jac = np.diag(a[:n]) + np.diag(b[1:n], 1) + np.diag(b[1:n], -1)
+    guess = np.linalg.eigvalsh(jac)
+    ref = np.sort(_polish(lambda t: _recurrence_with_squares(a, b, t)[:2], guess))
+    assert np.array_equal(zeros().zeros, ref)
 
 
 def test_polish_rejects_non_finite_values():

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from dunkl_lab import sde
 from dunkl_lab.rootsys import TYPE_A, TYPE_B, RootSystemConfig, gamma, in_weyl_chamber, root_table
@@ -84,19 +84,42 @@ def _project_rows(cfg, x):
     return repairs
 
 
-def _run_chunk_rows(plan, chunk_index, lo, hi, steps):
-    """sde._run_chunk on (m, N) rows with a full sort every step, kept as its oracle."""
+def _run_chunk_rows(plan, lo, hi, steps):
+    """sde._run_chunk on (m, N) rows with a full sort every step, kept as its
+    oracle: lane l, paths 1024 l to 1024 l + 1023, draws its rows of each
+    step's noise from its own SFC64 stream, keyed by (seed, l).  Returns
+    the finals, the repair count and each path's sum of |h b|^2."""
     cfg = plan.cfg
-    key = (int(plan.seed) & ((1 << 64) - 1)) + (chunk_index << 64)
-    rng = Generator(Philox(key=key))
-    m = hi - lo
-    x = np.tile(np.asarray(plan.initial, dtype=float), (m, 1))
-    repairs = 0
+    seed = int(plan.seed) & ((1 << 64) - 1)
+    edges = list(range(lo, hi, 1024)) + [hi]
+    lanes = [(Generator(SFC64(SeedSequence(seed, spawn_key=(a // 1024,)))), c - a)
+             for a, c in zip(edges, edges[1:])]
+    x = np.tile(np.asarray(plan.initial, dtype=float), (hi - lo, 1))
+    repairs, bias = 0, np.zeros(hi - lo)
     for dt_k in steps:
-        noise = rng.standard_normal((m, cfg.n))
-        x += _drift_rows(cfg, x) * dt_k + math.sqrt(dt_k) * noise
+        noise = np.concatenate([rng.standard_normal((rows, cfg.n)) for rng, rows in lanes])
+        hb = _drift_rows(cfg, x) * dt_k
+        sq = np.zeros(hi - lo)
+        for k in range(cfg.n):  # particle by particle, as the step sums them
+            sq += hb[:, k] * hb[:, k]
+        bias += sq
+        x += hb + math.sqrt(dt_k) * noise
         repairs += _project_rows(cfg, x)
-    return x, repairs
+    return x, repairs, bias
+
+
+def _run_chunk(plan, lo, hi, steps, workers=1):
+    """sde._run_chunk on a pool of the given size, with the pool's submit count."""
+    with _CountingPool(workers) as pool:
+        return *sde._run_chunk(plan, lo, hi, steps, pool), pool.submitted
+
+
+class _CountingPool(ThreadPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
 
 
 def _stiffness_dense(cfg, y):
@@ -182,10 +205,12 @@ _CHUNK_CASES = [
 def test_particle_major_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
     plan = SimPlan(cfg=cfg, dt=dt, t_final=dt * n_steps, n_paths=m, seed=7, initial=x0)
     steps = sde._step_schedule(cfg, x0, dt, plan.t_final)
-    finals, repairs = sde._run_chunk(plan, 0, 0, m, steps)
-    ref, ref_repairs = _run_chunk_rows(plan, 0, 0, m, steps)
+    finals, repairs, bias, submitted = _run_chunk(plan, 0, m, steps)
+    assert submitted == 1  # one tile, run through the whole schedule at once
+    ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, m, steps)
     assert np.array_equal(finals, ref)
     assert repairs == ref_repairs
+    assert bias == ref_bias.sum()
     if cfg.n == 32:
         assert repairs == 0
 
@@ -193,18 +218,11 @@ def test_particle_major_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
 _TILED_CASES = [
     (RootSystemConfig(TYPE_A, 32, 2.0), tuple(np.linspace(-16.0, 16.0, 32)), 1e-3, 10, 4096),
     (RootSystemConfig(TYPE_B, 32, 2.0, nu=0.5), tuple(np.arange(1.0, 33.0)), 1e-3, 10, 4096),
-    # uneven tiles (4097 and 4098 paths), about 8% of the paths re-sorted each step
+    # uneven tiles (4 lanes and 5, the last of 3 paths), about 8% of the
+    # paths re-sorted each step
     (RootSystemConfig(TYPE_A, 3, 0.5), (0.0, 0.05, 0.1), 5e-2, 40, 8195),
     (RootSystemConfig(TYPE_A, 7, 1e4), tuple(0.01 * i for i in range(-3, 4)), 5e-5, 100, 8192),
 ]
-
-
-class _CountingPool(ThreadPoolExecutor):
-    submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
 
 
 @pytest.mark.parametrize("cfg, x0, dt, n_steps, m", _TILED_CASES,
@@ -212,18 +230,17 @@ class _CountingPool(ThreadPoolExecutor):
 def test_tiled_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
     plan = SimPlan(cfg=cfg, dt=dt, t_final=dt * n_steps, n_paths=m, seed=7, initial=x0)
     steps = sde._step_schedule(cfg, x0, dt, plan.t_final)
-    with _CountingPool(2) as pool:
-        finals, repairs = sde._run_chunk(plan, 0, 0, m, steps, pool)
-    # two tiles each step, and every draw but the first
-    assert pool.submitted == 3 * len(steps) - 1
-    ref, ref_repairs = _run_chunk_rows(plan, 0, 0, m, steps)
+    finals, repairs, bias, submitted = _run_chunk(plan, 0, m, steps, workers=2)
+    assert len(sde._tiles(m, cfg.n, 2)) == submitted == 2  # one submit per tile
+    ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, m, steps)
     assert np.array_equal(finals, ref)
     assert repairs == ref_repairs
+    assert bias == ref_bias.sum()
 
 
 def test_tiled_chunk_with_more_workers_than_cores():
     # three tiles on four threads, switching every 10 us: a lost update to
-    # a shared buffer or a draw out of turn would change the bits
+    # a shared buffer or a draw from another lane's stream would change the bits
     cfg = RootSystemConfig(TYPE_B, 4, 1.0, nu=0.0)
     m = 6150
     plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.4, n_paths=m, seed=9,
@@ -232,14 +249,44 @@ def test_tiled_chunk_with_more_workers_than_cores():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with _CountingPool(4) as pool:
-            finals, repairs = sde._run_chunk(plan, 0, 0, m, steps, pool)
+        finals, repairs, bias, submitted = _run_chunk(plan, 0, m, steps, workers=4)
     finally:
         sys.setswitchinterval(interval)
-    assert pool.submitted == 4 * len(steps) - 1
-    ref, ref_repairs = _run_chunk_rows(plan, 0, 0, m, steps)
+    assert submitted == 3
+    ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, m, steps)
     assert np.array_equal(finals, ref)
     assert repairs == ref_repairs
+    assert bias == ref_bias.sum()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_finals_do_not_depend_on_the_pool(monkeypatch, workers):
+    # a full chunk of four tiles at most and a partial one of two at most,
+    # seven lanes, the last of 3 paths; about 8% of the paths are re-sorted
+    # each step
+    cfg = RootSystemConfig(TYPE_A, 3, 0.5)
+    n_paths = sde._CHUNK + 6 * sde._LANE + 3
+    plan = SimPlan(cfg=cfg, dt=5e-2, t_final=1.0, n_paths=n_paths, seed=10,
+                   initial=(0.0, 0.05, 0.1))
+    steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
+    full, r0, b0 = _run_chunk_rows(plan, 0, sde._CHUNK, steps)
+    part, r1, b1 = _run_chunk_rows(plan, sde._CHUNK, n_paths, steps)
+    monkeypatch.setattr(sde, "_workers", lambda: workers)
+    finals, stats = simulate_paths(plan, return_stats=True)
+    assert np.array_equal(finals, np.concatenate([full, part]))
+    assert stats["repairs"] == r0 + r1
+    assert stats["euler_bias"] == (b0.sum() + b1.sum()) / n_paths
+    assert stats["workers"] == workers
+    assert stats["tiles"] == min(workers, 4) + min(workers, 2)
+
+
+def test_whole_lanes_keep_their_bits():
+    # paths beyond the last whole lane do not move the bits of those before
+    cfg = RootSystemConfig(TYPE_B, 3, 1.0, nu=0.0)
+    kw = dict(cfg=cfg, dt=2e-2, t_final=0.4, seed=11, initial=(0.01, 0.02, 0.03))
+    whole = simulate_paths(SimPlan(n_paths=2 * sde._LANE, **kw))
+    more = simulate_paths(SimPlan(n_paths=2 * sde._LANE + 5, **kw))
+    assert np.array_equal(more[:2 * sde._LANE], whole)
 
 
 def test_two_chunks_and_a_partial_one_do_not_depend_on_the_pool():
@@ -248,30 +295,29 @@ def test_two_chunks_and_a_partial_one_do_not_depend_on_the_pool():
     plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.1, n_paths=n_paths, seed=6,
                    initial=(0.01, 0.02))
     steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
-    chunks = [(0, 0, sde._CHUNK), (1, sde._CHUNK, 2 * sde._CHUNK), (2, 2 * sde._CHUNK, n_paths)]
-    serial = [sde._run_chunk(plan, c, lo, hi, steps) for c, lo, hi in chunks]
-    with ThreadPoolExecutor(2) as pool:
-        pooled = [sde._run_chunk(plan, c, lo, hi, steps, pool) for c, lo, hi in chunks]
-    for (f0, r0), (f1, r1) in zip(serial, pooled):
-        assert np.array_equal(f0, f1) and r0 == r1
+    bounds = [(0, sde._CHUNK), (sde._CHUNK, 2 * sde._CHUNK), (2 * sde._CHUNK, n_paths)]
+    serial = [_run_chunk(plan, lo, hi, steps) for lo, hi in bounds]
+    pooled = [_run_chunk(plan, lo, hi, steps, workers=2) for lo, hi in bounds]
+    for (f0, r0, b0, _), (f1, r1, b1, _) in zip(serial, pooled):
+        assert np.array_equal(f0, f1) and r0 == r1 and b0 == b1
     finals, stats = simulate_paths(plan, return_stats=True)
-    assert np.array_equal(finals, np.concatenate([f for f, _ in serial]))
-    assert stats["repairs"] == sum(r for _, r in serial)
+    assert np.array_equal(finals, np.concatenate([f for f, _, _, _ in serial]))
+    assert stats["repairs"] == sum(r for _, r, _, _ in serial)
     assert stats["workers"] == len(os.sched_getaffinity(0))
     assert stats["tiles"] == 2 * min(2, stats["workers"]) + 1
 
 
 def test_partial_chunk_matches_rows_bit_for_bit():
-    # a full chunk and a partial second one, each on its own Philox stream;
-    # about 13% of the paths are re-sorted each step
+    # a full chunk and a partial second one, each lane on its own SFC64
+    # stream; about 13% of the paths are re-sorted each step
     cfg = RootSystemConfig(TYPE_B, 2, 1.0, nu=0.0)
     n_paths = sde._CHUNK + 300
     plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.2, n_paths=n_paths, seed=5,
                    initial=(0.01, 0.02))
     finals, stats = simulate_paths(plan, return_stats=True)
     steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
-    full, r0 = _run_chunk_rows(plan, 0, 0, sde._CHUNK, steps)
-    part, r1 = _run_chunk_rows(plan, 1, sde._CHUNK, n_paths, steps)
+    full, r0, _ = _run_chunk_rows(plan, 0, sde._CHUNK, steps)
+    part, r1, _ = _run_chunk_rows(plan, sde._CHUNK, n_paths, steps)
     assert np.array_equal(finals, np.concatenate([full, part]))
     assert stats["repairs"] == r0 + r1
 
@@ -407,6 +453,20 @@ def test_sum_of_squares_identity_from_stiff_start(cfg, x0):
     fin = simulate_paths(plan)
     expected = float(np.dot(x0, x0)) + (cfg.n + cfg.beta * gamma(cfg)) * t
     assert float((fin ** 2).sum(axis=1).mean()) == pytest.approx(expected, rel=0.01)
+
+
+def test_euler_bias_predicts_the_msq_excess():
+    # the benchmark's A7 freezing leg: explicit Euler adds sum_k h_k^2 E|b(X_k)|^2
+    # to E|X_t|^2 (about +12.9 here), and the monitor reports that sum
+    cfg = RootSystemConfig(TYPE_A, 7, 1e4)
+    x0 = tuple(0.01 * i for i in range(-3, 4))
+    plan = SimPlan(cfg=cfg, dt=5e-5, t_final=0.01, n_paths=4096, seed=16, initial=x0)
+    fin, stats = simulate_paths(plan, return_stats=True)
+    r2 = (fin ** 2).sum(axis=1)
+    excess = r2.mean() - (np.dot(x0, x0) + (cfg.n + cfg.beta * gamma(cfg)) * plan.t_final)
+    se = r2.std(ddof=1) / math.sqrt(plan.n_paths)
+    assert excess > 20 * se  # the bias is resolved at this size
+    assert abs(excess - stats["euler_bias"]) <= 4 * se
 
 
 def test_well_separated_start_keeps_uniform_schedule():
