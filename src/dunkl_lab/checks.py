@@ -71,11 +71,10 @@ def limits(ns, degrees):
                 scaled = {k: rate * c for k, c in fin.coeffs.items()}
                 dist = _rel_distance(scaled, intertwine.v_limit_beta(cfg, lam).coeffs)
                 out.append(_record(f"limit_{cfg.kind}_n{n}_{lam}", dist, 1e-5, t0))
-            # filter product c / (c' (beta N/2)_tau) at beta = 1e8: 1/(N^d d!)
-            # on one-row partitions, 0 on the others
+            # filter product c / (c' (N/alpha)_tau) at alpha = 2e-8 (beta = 1e8):
+            # 1/(N^d d!) on one-row partitions, 0 on the others
             t0 = time.perf_counter()
-            v = symfunc.hook_c(lam, 2e-8) / (symfunc.hook_c_prime(lam, 2e-8)
-                                            * symfunc.gen_pochhammer(1e8 * n / 2, lam, 2e-8))
+            v = intertwine._tau_weight(lam, 2e-8, n, None)
             tgt = 1.0 / (n ** lam[0] * math.factorial(lam[0])) if len(lam) == 1 else 0.0
             err = abs(v - tgt) / (tgt or 1.0)
             out.append(_record(f"filter_product_n{n}_{lam}", err, 1e-6, t0))

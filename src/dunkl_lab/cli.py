@@ -7,8 +7,10 @@ Subcommands:
               records {name, value, tol, passed, seconds}; exit 1 on failure)
   intertwine  coefficient table of the intertwined image of a monomial
 
-Every output is accompanied by a JSON manifest sufficient to re-run the
-command bit-identically.  Exit codes: 0 success, 1 verification failure,
+Every file written comes with a JSON manifest sufficient to re-run the
+command bit-identically: `simulate`'s CSV, and the JSON of `fekete` and
+`verify` when --out is given.  `intertwine` and the other commands without
+--out print to stdout only.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 numeric failure.
 """
 

@@ -228,7 +228,7 @@ class FkeResidual:
     term_scale: float
 
 
-def fke_residual(cfg: RootSystemConfig, logdensity_fn, v, h: float | None = None) -> FkeResidual:
+def fke_residual(cfg: RootSystemConfig, logdensity_fn, v) -> FkeResidual:
     """Residual of the stationary scaled Fokker–Planck equation at v.
 
     For a time-independent density f the right-hand side
@@ -239,16 +239,15 @@ def fke_residual(cfg: RootSystemConfig, logdensity_fn, v, h: float | None = None
               - (|alpha|^2/2) (f(v) + f(sigma_alpha v)) / (alpha . v)^2 ]
         + v . grad f + N f
 
-    must vanish; it is evaluated with central differences of step h
-    (default 1e-4 * max(1, |v|)).  Returns the residual together with the
+    must vanish; it is evaluated with central differences of step
+    h = 1e-4 * max(1, |v|).  Returns the residual together with the
     magnitude of the largest constituent term, which sets the natural
     relative scale.
     """
     v = np.asarray(v, dtype=float)
     a = _interior_dot(cfg, v)
     n, t = cfg.n, root_table(cfg)
-    if h is None:
-        h = 1e-4 * max(1.0, float(np.linalg.norm(v)))
+    h = 1e-4 * max(1.0, float(np.linalg.norm(v)))
     # boundary margin: all stencil points must stay off the chamber walls
     if np.any(a <= 2 * h):
         raise ValueError("insufficient margin to the chamber boundary")

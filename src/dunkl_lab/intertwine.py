@@ -9,17 +9,22 @@ squared variables; a SymPoly returned by a type-B operation with partition
 key tau stands for the monomial/Jack polynomial evaluated at
 (x_1^2, ..., x_N^2).
 
-Every operation takes a RootSystemConfig, and each fact that tells the types
-apart is stated once: the monomial-image prefactor in `_image_prefactor`,
-type B's lower parameter b in `_lower_param`, the squared kernel variables
-in `_kernel_shells`, and, in `rootsys`, the group order |W| (`weyl_order`)
-and the complement of the root span (`span_complement`).
+Every operation on a root system takes a RootSystemConfig; `hyper_series`
+is the generic series of two vector arguments and takes its own
+HyperSeriesParams.  Each fact that tells the types apart is stated once: the
+monomial-image prefactor in `_image_prefactor`, type B's lower parameter b
+in `_lower_param`, the squared kernel variables in `_kernel_shells`, and, in
+`rootsys`, the group order |W| (`weyl_order`) and the complement of the root
+span (`span_complement`).  Every series term carries the filter weight
+c_tau / (c'_tau (N/alpha)_tau [(b)_tau]) of `_tau_weight`, computed once per
+(tau, alpha, N, b).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -36,15 +41,7 @@ from .rootsys import (
     span_complement,
     weyl_order,
 )
-from .symfunc import (
-    SymPoly,
-    gen_pochhammer,
-    hook_c,
-    hook_c_prime,
-    jack_coeffs,
-    multinomial_m,
-    partitions_of,
-)
+from .symfunc import SymPoly, gen_pochhammer, jack_coeffs, multinomial_m, partitions_of
 
 
 @dataclass(frozen=True)
@@ -59,21 +56,6 @@ class HyperSeriesParams:
             raise ValueError("alpha > 0 required")
         if self.max_degree < 0:
             raise ValueError("max_degree >= 0 required")
-
-
-@dataclass(frozen=True)
-class LinearIntertwiner:
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrozenKernelParams:
-    cfg: RootSystemConfig
-    epsilon_beta_mode: str = "exact_limit"  # or "corrected"
-
-    def __post_init__(self):
-        if self.epsilon_beta_mode not in ("exact_limit", "corrected"):
-            raise ValueError("mode must be 'exact_limit' or 'corrected'")
 
 
 def _fact_partition(lam):
@@ -95,9 +77,11 @@ def _lower_param(cfg):
 # operators on monomial symmetric polynomials
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _tau_weight(tau, alpha, n, b):
     """c_tau / c'_tau / ((N/alpha)_tau [(b)_tau]); the bracket only when b is set."""
-    w = hook_c(tau, alpha) / hook_c_prime(tau, alpha) / gen_pochhammer(n / alpha, tau, alpha)
+    c, c_prime = symfunc._hook_products(tau, alpha)
+    w = c / c_prime / gen_pochhammer(n / alpha, tau, alpha)
     return w if b is None else w / gen_pochhammer(b, tau, alpha)
 
 
@@ -172,7 +156,7 @@ def v_limit_nu(cfg: RootSystemConfig, lam) -> SymPoly:
     )
 
 
-def linear_intertwiner(cfg: RootSystemConfig) -> LinearIntertwiner:
+def linear_intertwiner(cfg: RootSystemConfig) -> np.ndarray:
     """Action on linear polynomials as an N x N matrix.
 
     M = (1/(1 + beta gamma / d)) [ I + (beta gamma / d) P ], with d the root
@@ -180,8 +164,7 @@ def linear_intertwiner(cfg: RootSystemConfig) -> LinearIntertwiner:
     projector onto the complement of the root span.
     """
     bg_d = cfg.beta * gamma(cfg) / rank(cfg)
-    m = (np.eye(cfg.n) + bg_d * span_complement(cfg)) / (1.0 + bg_d)
-    return LinearIntertwiner(matrix=m)
+    return (np.eye(cfg.n) + bg_d * span_complement(cfg)) / (1.0 + bg_d)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +238,7 @@ def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
     return float(out) if out.ndim == 0 else out
 
 
-def frozen_kernel(params: FrozenKernelParams, x, y) -> float:
+def frozen_kernel(cfg: RootSystemConfig, x, y, corrected: bool = False) -> float:
     """Large-beta closed form of bessel_kernel(cfg, sqrt(beta) x, y).
 
     With P = rootsys.span_complement(cfg) and x_r = x - P x the part of x in
@@ -263,7 +246,8 @@ def frozen_kernel(params: FrozenKernelParams, x, y) -> float:
 
         |W| exp( sqrt(beta) <P x, P y> + |x_r|^2 |y_r|^2 / (2 (gamma + eps)) ).
 
-    exact_limit takes eps = 0; corrected takes the smooth quadratic-root form
+    The exact limit takes eps = 0; corrected=True takes the smooth
+    quadratic-root form
 
         eps_beta = -gamma/2 + sqrt(gamma^2/4 + |x_r|^2 |y_r|^2 / beta),
 
@@ -271,7 +255,6 @@ def frozen_kernel(params: FrozenKernelParams, x, y) -> float:
     large-argument |x_r||y_r|/sqrt(beta) regimes.  The quadratic term is 0
     when x_r or y_r is 0, which covers type A at N = 1 (no roots).
     """
-    cfg = params.cfg
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     proj = span_complement(cfg)
@@ -282,7 +265,7 @@ def frozen_kernel(params: FrozenKernelParams, x, y) -> float:
     if r2 > 0.0:
         g = gamma(cfg)
         eps = 0.0
-        if params.epsilon_beta_mode == "corrected":
+        if corrected:
             eps = -g / 2.0 + math.sqrt(g * g / 4.0 + r2 / cfg.beta)
         quad = r2 / (2 * (g + eps))
     return weyl_order(cfg) * math.exp(math.sqrt(cfg.beta) * float(px @ py) + quad)

@@ -8,8 +8,8 @@ log-gas potentials, series kernels — is parameterized by the config
 defined here.
 
 `root_table` lists the positive roots with their multiplicities as index
-arrays, so a sum over roots is a gather and a `np.bincount` or a dot with
-the multiplicities; no dense root matrix is built.  Type B's pair factor
+arrays, so a sum over roots is a gather and a `np.bincount` or a sum over
+the root axis; no dense root matrix is built.  Type B's pair factor
 log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
 The chamber is {x : alpha . x > 0 for every positive root alpha}: the
 chamber test and the log weight read alpha . x from `RootTable.dot`.
@@ -139,7 +139,11 @@ def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:
     a = t.dot(np.moveaxis(x, -1, 0))  # alpha . x, root axis first
     with np.errstate(divide="ignore"):
         np.log(np.abs(a, out=a), out=a)
-    out = cfg.beta * np.tensordot(t.kappa, a, axes=1)
+    a *= t.kappa.reshape((-1,) + (1,) * (a.ndim - 1))
+    # root by root in table order, so a point gets the same bits alone and
+    # in a batch; type A at N = 1 has no roots and weight 1
+    total = np.add.accumulate(a, axis=0, out=a)[-1] if len(a) else np.zeros(a.shape[1:])
+    out = cfg.beta * total
     return float(out) if x.ndim == 1 else out
 
 

@@ -151,13 +151,8 @@ def _distinct_perms(lam, n_vars):
 
 @lru_cache(maxsize=None)
 def _exponents(lam, n_vars):
-    """Distinct exponent vectors of m_lam in n_vars variables, (n_perms, n_vars).
-
-    Read-only: the cache hands the same array to every caller.
-    """
-    out = np.array(list(_distinct_perms(lam, n_vars)), dtype=np.intp).reshape(-1, n_vars)
-    out.flags.writeable = False
-    return out
+    """Distinct exponent vectors of m_lam in n_vars variables, as tuples."""
+    return tuple(_distinct_perms(lam, n_vars))
 
 
 def monomial_eval(lam: Partition, x):
@@ -184,7 +179,7 @@ def monomial_eval(lam: Partition, x):
         if e in parts:
             powers[e] = p
     total = np.zeros(x.shape[:-1])
-    for a in _exponents(lam, n).tolist():
+    for a in _exponents(lam, n):
         term = None
         for k, e in enumerate(a):
             if e:
@@ -230,26 +225,28 @@ def schur_eval(lam: Partition, x):
     return float(np.linalg.det(num) / np.linalg.det(den))
 
 
-def hook_c(tau: Partition, alpha: float) -> float:
-    """Product over cells (i,j): alpha*(tau_i - j) + tau'_j - i + 1."""
+def _hook_products(tau, alpha):
+    """(c_tau, c'_tau) from one walk over the cells (i,j) of tau: the
+    products of alpha*(tau_i - j) + tau'_j - i + 1 and of
+    alpha*(tau_i - j + 1) + tau'_j - i."""
     tau = _check_partition(tau)
-    taup = conjugate(tau)
-    out = 1.0
+    taup = [sum(1 for p in tau if p > j) for j in range(tau[0] if tau else 0)]
+    c = c_prime = 1.0
     for i, row in enumerate(tau, start=1):
         for j in range(1, row + 1):
-            out *= alpha * (row - j) + taup[j - 1] - i + 1
-    return out
+            c *= alpha * (row - j) + taup[j - 1] - i + 1
+            c_prime *= alpha * (row - j + 1) + taup[j - 1] - i
+    return c, c_prime
+
+
+def hook_c(tau: Partition, alpha: float) -> float:
+    """Product over cells (i,j): alpha*(tau_i - j) + tau'_j - i + 1."""
+    return _hook_products(tau, alpha)[0]
 
 
 def hook_c_prime(tau: Partition, alpha: float) -> float:
     """Product over cells (i,j): alpha*(tau_i - j + 1) + tau'_j - i."""
-    tau = _check_partition(tau)
-    taup = conjugate(tau)
-    out = 1.0
-    for i, row in enumerate(tau, start=1):
-        for j in range(1, row + 1):
-            out *= alpha * (row - j + 1) + taup[j - 1] - i
-    return out
+    return _hook_products(tau, alpha)[1]
 
 
 def gen_pochhammer(b: float, tau: Partition, alpha: float) -> float:

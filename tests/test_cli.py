@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dunkl_lab
-from dunkl_lab import checks, sde
+from dunkl_lab import checks, orthopoly, sde
 from dunkl_lab.cli import DEFAULT_SEED, build_parser, main
 
 
@@ -97,14 +97,36 @@ def test_simulate_exact_column_empty_off_beta2(tmp_path):
     assert all(r[3] == "" for r in rows)
 
 
+def test_simulate_type_b_exact_column(tmp_path):
+    # the default type-B start and the exact beta = 2 column of type B: the
+    # scaled density at the bin centres, 0 left of the origin
+    out = tmp_path / "dens.csv"
+    rc = main(["simulate", "--type", "B", "--n", "3", "--t", "0.5", "--dt", "1e-2",
+               "--paths", "64", "--bins=-2:2:0.5", "--exact", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    mids = np.array([(float(r[0]) + float(r[1])) / 2.0 for r in rows])
+    exact = np.array([float(r[3]) for r in rows])
+    scale = math.sqrt(2.0 * 0.5)
+    right = mids > 0
+    assert np.all(exact[~right] == 0.0)
+    ref = orthopoly.density_b_exact(3, 0.5, 0.5, mids[right] * scale) * scale
+    assert np.allclose(exact[right], ref, rtol=1e-9, atol=0.0) and np.all(ref > 0)
+    manifest = json.loads((tmp_path / "dens.csv.manifest.json").read_text())
+    assert manifest["parameters"]["init"] == [0.01, 0.02, 0.03]
+
+
 def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
-    for spec in ("junk", "0:1", "-1:1:5"):  # malformed, wrong arity, no bin
+    for spec, message in (("junk", "lo:hi:width"), ("0:1", "lo:hi:width"),  # malformed, arity
+                          ("-1:1:5", "lo:hi:width"),  # no bin
+                          ("1:-1:0.1", "lo < hi and width > 0")):  # reversed
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--type", "A", "--n", "2", "--t", "0.1",
                   "--init", "0,1", f"--bins={spec}", "--out",
                   str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert "error: --bins needs lo:hi:width" in capsys.readouterr().err
+        assert f"error: --bins needs {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, options", [
@@ -156,15 +178,17 @@ def test_intertwine_bad_lambda_names_the_option(spec, message, capsys):
 
 
 def test_simulate_zero_scale_is_usage_error(tmp_path, capsys):
-    # nu = 0 makes the beta_nu_t scale zero: refuse instead of writing zeros
+    # nu = 0 makes the beta_nu_t scale zero: refuse instead of writing zeros;
+    # type A has no nu to scale by
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--type", "B", "--n", "2", "--nu", "0", "--t", "0.1",
-              "--dt", "1e-2", "--paths", "8", "--init", "0.5,1",
-              "--scale", "beta_nu_t", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "error: --scale beta_nu_t gives 0.0" in capsys.readouterr().err
-    assert not out.exists()
+    for kind, init, message in (("B", "0.5,1", "gives 0.0"), ("A", "0,1", "requires --type B")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--type", kind, "--n", "2", "--nu", "0", "--t", "0.1",
+                  "--dt", "1e-2", "--paths", "8", "--init", init,
+                  "--scale", "beta_nu_t", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"error: --scale beta_nu_t {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_numeric_failure_exit_3(tmp_path, capsys):

@@ -8,7 +8,6 @@ from scipy.special import hyp0f1
 
 from dunkl_lab import intertwine, symfunc
 from dunkl_lab.intertwine import (
-    FrozenKernelParams,
     HyperSeriesParams,
     bessel_kernel,
     frozen_kernel,
@@ -348,9 +347,9 @@ def test_frozen_kernel_matches_series_at_large_beta():
         x = np.array([0.05, 0.12]) if kind == TYPE_A else np.array([0.05, 0.12])
         y = np.array([-0.3, 0.4]) if kind == TYPE_A else np.array([0.3, 0.4])
         series = bessel_kernel(cfg, math.sqrt(beta) * x, y, max_degree=40)
-        closed = frozen_kernel(FrozenKernelParams(cfg, "corrected"), x, y)
+        closed = frozen_kernel(cfg, x, y, corrected=True)
         assert closed == pytest.approx(series, rel=2e-2)
-        exact = frozen_kernel(FrozenKernelParams(cfg, "exact_limit"), x, y)
+        exact = frozen_kernel(cfg, x, y)
         assert exact > 0.0
 
 
@@ -366,21 +365,20 @@ def test_frozen_exact_limit_keeps_centre_of_mass_factor(x, y):
     cfg = RootSystemConfig(TYPE_A, len(x), beta)
     x, y = np.array(x), np.array(y)
     series = bessel_kernel(cfg, math.sqrt(beta) * x, y, max_degree=40)
-    exact = frozen_kernel(FrozenKernelParams(cfg, "exact_limit"), x, y)
+    exact = frozen_kernel(cfg, x, y)
     assert exact == pytest.approx(series, rel=1e-3)
 
 
 def test_frozen_kernel_n1_type_a():
     cfg = RootSystemConfig(TYPE_A, 1, 1e6)
     # no roots at N=1: the kernel is exactly exp(sqrt(beta) x y)
-    v = frozen_kernel(FrozenKernelParams(cfg, "exact_limit"),
-                      np.array([0.002]), np.array([0.5]))
+    v = frozen_kernel(cfg, np.array([0.002]), np.array([0.5]))
     assert v == pytest.approx(math.exp(1e3 * 0.001), rel=1e-12)
 
 
 def test_linear_intertwiner():
     cfg = RootSystemConfig(TYPE_A, 3, 2.0)
-    m = linear_intertwiner(cfg).matrix
+    m = linear_intertwiner(cfg)
     # fixes the all-ones direction exactly
     assert np.allclose(m @ np.ones(3), np.ones(3))
     # contracts the root span by 1/(1 + beta gamma / rank)
@@ -388,7 +386,7 @@ def test_linear_intertwiner():
     bg = cfg.beta * gamma(cfg)
     assert np.allclose(m @ u, u / (1 + bg / 2))
     cfgb = RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5)
-    mb = linear_intertwiner(cfgb).matrix
+    mb = linear_intertwiner(cfgb)
     assert np.allclose(mb, np.eye(3) / (1 + cfgb.beta * gamma(cfgb) / 3))
 
 

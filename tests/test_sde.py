@@ -352,7 +352,11 @@ def test_table_stiffness_matches_dense_bound(cfg):
     (RootSystemConfig(TYPE_A, 7, 1e4), tuple(0.01 * i for i in range(-3, 4)), 5e-5, 1.0),
     (RootSystemConfig(TYPE_B, 7, 2.0, nu=1e4), tuple(0.1 * i for i in range(1, 8)), 2e-5, 0.5),
     (RootSystemConfig(TYPE_B, 7, 1e4, nu=0.5), tuple(0.01 * i for i in range(1, 8)), 5e-5, 0.05),
-], ids=["criterion4", "criterion5", "B7_beta1e4"])
+    # the stiff phase reaches t_final, so every step is shorter than dt
+    (RootSystemConfig(TYPE_A, 7, 1e4), tuple(0.01 * i for i in range(-3, 4)), 5e-5, 1e-4),
+    (RootSystemConfig(TYPE_B, 7, 1e4, nu=0.5), tuple(0.01 * i for i in range(1, 8)), 5e-5, 1e-4),
+], ids=["criterion4", "criterion5", "B7_beta1e4", "A7_beta1e4_stiff_to_end",
+        "B7_beta1e4_stiff_to_end"])
 def test_step_schedule_matches_dense_reference(cfg, x0, dt, t):
     steps = np.array(sde._step_schedule(cfg, x0, dt, t))
     ref = np.array(_schedule_by_dense(cfg, x0, dt, t))

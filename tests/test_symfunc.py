@@ -305,6 +305,30 @@ def test_hooks_single_box():
     assert hook_c_prime((1,), 2.5) == pytest.approx(2.5)
 
 
+def _hooks_by_two_walks(tau, alpha):
+    """The two separate cell walks that symfunc._hook_products replaced."""
+    taup = conjugate(tau)
+    c = c_prime = 1.0
+    for i, row in enumerate(tau, start=1):
+        for j in range(1, row + 1):
+            c *= alpha * (row - j) + taup[j - 1] - i + 1
+    for i, row in enumerate(tau, start=1):
+        for j in range(1, row + 1):
+            c_prime *= alpha * (row - j + 1) + taup[j - 1] - i
+    return c, c_prime
+
+
+@pytest.mark.parametrize("alpha", [2e-8, 0.3, 1.0, 2.0 / 3.0, 1.9, 1e4])
+def test_one_hook_walk_matches_two_walks_bit_for_bit(alpha):
+    for d in range(11):
+        for tau in partitions_of(d, 6):
+            ref = _hooks_by_two_walks(tau, alpha)
+            assert (hook_c(tau, alpha), hook_c_prime(tau, alpha)) == ref
+            assert hook_c(list(tau), alpha) == ref[0]
+    with pytest.raises(ValueError):
+        hook_c_prime((1, 2), alpha)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_series_coefficient_reduces_to_factorial_n1(k):
     # at N=1 the shell weight c/(c' (N/alpha)_tau) must be 1/k!
