@@ -171,6 +171,10 @@ def linear_intertwiner(cfg: RootSystemConfig) -> np.ndarray:
 # hypergeometric series and kernels
 # ---------------------------------------------------------------------------
 
+#: float64 entries in the power table of one block of y points (1 MB)
+_SERIES_BLOCK_ENTRIES = 1 << 17
+
+
 def _series_shells(params: HyperSeriesParams, x, ybatch):
     """Per-degree shell values of the series, vectorized over ybatch (..., N).
 
@@ -178,16 +182,23 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
         (c_tau / c'_tau) P_tau(x) P_tau(y) / ((N/alpha)_tau [(b)_tau]).
     x is one point (N,) or a stack of k points (k, N); the shells have shape
     (D+1,) + ybatch.shape[:-1], with a k axis after the degree axis for a
-    stack.  Each shell makes one pass on each side: m_mu(x) is evaluated once
-    per partition mu of d, every P_tau(x) is formed from those values, and
-    the tau sum is collapsed to monomial coefficients in y (one per x point),
-    so each m_mu(y) is evaluated once for all x points.
+    stack.  The x side runs first, degree by degree: m_mu(x) is evaluated
+    once per partition mu of d, every P_tau(x) is formed from those values,
+    and the tau sum is collapsed to monomial coefficients in y (one per x
+    point).  The y side then walks the points in blocks: one table of the
+    powers y^0..y^D per block (at most _SERIES_BLOCK_ENTRIES entries, in one
+    buffer refilled for each block) serves every m_mu(y) of every degree.
+    A last axis of x or of ybatch other than n_vars raises ValueError.
     """
-    alpha, n, b = params.alpha, params.n_vars, params.b
+    alpha, n, b, top = params.alpha, params.n_vars, params.b, params.max_degree
     x = np.asarray(x, dtype=float)
     ybatch = np.asarray(ybatch, dtype=float)
-    shells = np.zeros((params.max_degree + 1,) + x.shape[:-1] + ybatch.shape[:-1])
-    for d in range(params.max_degree + 1):
+    for name, pts in (("x", x), ("y", ybatch)):
+        if pts.shape[-1:] != (n,):
+            raise ValueError(f"{name} has shape {pts.shape}, but the series is in "
+                             f"n_vars = {n} variables: its last axis must have length {n}")
+    coeffs = []
+    for d in range(top + 1):
         taus = partitions_of(d, n)
         m_x = {mu: symfunc.monomial_eval(mu, x) for mu in taus}
         mu_coeffs: dict = {}
@@ -199,9 +210,21 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
                 continue
             for mu, c in jack.coeffs.items():
                 mu_coeffs[mu] = mu_coeffs.get(mu, 0.0) + w * c
-        for mu, c in mu_coeffs.items():
-            shells[d] += np.multiply.outer(c, symfunc.monomial_eval(mu, ybatch))
-    return shells
+        coeffs.append(mu_coeffs)
+    ys = ybatch.reshape(-1, n)
+    m = len(ys)
+    shells = np.zeros((top + 1,) + x.shape[:-1] + (m,))
+    rows = max(1, _SERIES_BLOCK_ENTRIES // ((top + 1) * n))
+    buf = np.empty((top + 1) * n * min(rows, m))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        table = buf[:(top + 1) * n * (hi - lo)].reshape(top + 1, n, hi - lo)
+        powers = symfunc._powers(ys[lo:hi], top, table)
+        for d, mu_coeffs in enumerate(coeffs):
+            for mu, c in mu_coeffs.items():
+                shells[d, ..., lo:hi] += np.multiply.outer(
+                    c, symfunc._monomial_from_powers(mu, powers))
+    return shells.reshape(shells.shape[:-1] + ybatch.shape[:-1])
 
 
 def hyper_series(params: HyperSeriesParams, x, y):

@@ -155,36 +155,47 @@ def _exponents(lam, n_vars):
     return tuple(_distinct_perms(lam, n_vars))
 
 
+def _powers(x, top, out):
+    """Fill out, shape (top + 1, n_vars) + x.shape[:-1], with the powers
+    x_k^e, e = 0..top, of x's columns by one chain of products
+    p_e = p_{e-1} * x, and return it."""
+    out[0] = 1.0
+    if top:
+        out[1] = np.moveaxis(x, -1, 0)
+    for e in range(2, top + 1):
+        np.multiply(out[e - 1], out[1], out=out[e])
+    return out
+
+
+def _monomial_from_powers(lam, powers):
+    """m_lambda from a table of _powers: the sum, over the exponent vectors a
+    of _exponents, of the products of the gathered rows powers[a_k, k]."""
+    total = np.zeros(powers.shape[2:])
+    for a in _exponents(lam, powers.shape[1]):
+        term = None
+        for k, e in enumerate(a):
+            if e:
+                term = powers[e, k] if term is None else term * powers[e, k]
+        total += powers[0, 0] if term is None else term  # None: the empty partition
+    return total
+
+
 def monomial_eval(lam: Partition, x):
     """m_lambda(x): sum of x^a over distinct permutations a of lambda.
 
     x may be a vector or an array (..., n_vars); vectorized over leading axes.
-    Only the powers x^e for the distinct parts e of lambda are formed, by one
-    chain of products, and each term is a product of gathered columns.
+    The powers x^0..x^lambda_1 of x's columns are formed once (`_powers`),
+    and each term is a product of rows gathered from that table
+    (`_monomial_from_powers`).
     """
     lam = _check_partition(lam)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if len(lam) > n:
         raise ValueError("partition longer than variable count")
-    if not lam:
-        return 1.0 if x.ndim == 1 else np.ones(x.shape[:-1])
-    cols = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    parts = set(lam)
-    powers = {}
-    p = cols
-    for e in range(1, lam[0] + 1):
-        if e > 1:
-            p = p * cols
-        if e in parts:
-            powers[e] = p
-    total = np.zeros(x.shape[:-1])
-    for a in _exponents(lam, n):
-        term = None
-        for k, e in enumerate(a):
-            if e:
-                term = powers[e][k] if term is None else term * powers[e][k]
-        total += term
+    top = lam[0] if lam else 0
+    powers = _powers(x, top, np.empty((top + 1, n) + x.shape[:-1]))
+    total = _monomial_from_powers(lam, powers)
     return float(total) if total.ndim == 0 else total
 
 

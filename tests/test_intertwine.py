@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -500,6 +501,110 @@ def test_series_shells_stacked_points_match_single_points():
         assert stacked.shape == (13, 2, 500)
         for k in range(2):
             assert np.array_equal(stacked[:, k], intertwine._series_shells(params, xs[k], ys))
+
+
+def _monomial_eval_by_chain(lam, x):
+    """m_lam(x) from a transposed copy of x and the chain of the powers of the
+    distinct parts of lam, made anew for each call."""
+    n = x.shape[-1]
+    if not lam:
+        return 1.0 if x.ndim == 1 else np.ones(x.shape[:-1])
+    cols = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    parts = set(lam)
+    powers = {}
+    p = cols
+    for e in range(1, lam[0] + 1):
+        if e > 1:
+            p = p * cols
+        if e in parts:
+            powers[e] = p
+    total = np.zeros(x.shape[:-1])
+    for a in symfunc._exponents(lam, n):
+        term = None
+        for k, e in enumerate(a):
+            if e:
+                term = powers[e][k] if term is None else term * powers[e][k]
+        total += term
+    return float(total) if total.ndim == 0 else total
+
+
+def _series_shells_by_monomial(params, x, ybatch):
+    """The series shells with one _monomial_eval_by_chain call per monomial on
+    each side, the y side on the whole batch at once: the reference for the
+    blocked y side that reads every m_mu(y) from one power table per block."""
+    alpha, n, b = params.alpha, params.n_vars, params.b
+    x = np.asarray(x, dtype=float)
+    ybatch = np.asarray(ybatch, dtype=float)
+    shells = np.zeros((params.max_degree + 1,) + x.shape[:-1] + ybatch.shape[:-1])
+    for d in range(params.max_degree + 1):
+        taus = partitions_of(d, n)
+        m_x = {mu: _monomial_eval_by_chain(mu, x) for mu in taus}
+        mu_coeffs: dict = {}
+        for tau in taus:
+            jack = jack_coeffs(tau, alpha, n)
+            p_x = sum(c * m_x[mu] for mu, c in jack.coeffs.items())
+            w = intertwine._tau_weight(tau, alpha, n, b) * p_x
+            if not np.any(w):
+                continue
+            for mu, c in jack.coeffs.items():
+                mu_coeffs[mu] = mu_coeffs.get(mu, 0.0) + w * c
+        for mu, c in mu_coeffs.items():
+            shells[d] += np.multiply.outer(c, _monomial_eval_by_chain(mu, ybatch))
+    return shells
+
+
+@pytest.mark.parametrize("degree", [0, 1, 18])
+@pytest.mark.parametrize("b", [None, 2.3])
+@pytest.mark.parametrize("x_shape", [(3,), (2, 3)], ids=["point", "stack"])
+def test_blocked_y_side_matches_one_call_per_monomial(degree, b, x_shape):
+    # one point, exactly one block, three blocks and 5 points, and a leading
+    # shape (a, b) whose rows straddle the blocks: the same bits as one call
+    # of the chain evaluator per monomial on the whole batch
+    params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=degree, b=b)
+    rows = intertwine._SERIES_BLOCK_ENTRIES // ((degree + 1) * 3)
+    rng = np.random.default_rng(degree)
+    x = rng.uniform(-0.8, 0.8, size=x_shape)
+    for y_shape in [(3,), (rows, 3), (3 * rows + 5, 3), (3, rows // 2 + 1, 3)]:
+        y = rng.uniform(-0.8, 0.8, size=y_shape)
+        got = intertwine._series_shells(params, x, y)
+        assert got.shape == (degree + 1,) + x_shape[:-1] + y_shape[:-1]
+        assert np.array_equal(got, _series_shells_by_monomial(params, x, y)), y_shape
+
+
+def test_y_power_tables_stay_within_the_block_budget(monkeypatch):
+    # every power table of a D=30 kernel on 65536 points fits the budget, and
+    # the y side refills one buffer for all of its blocks
+    tables = []
+    powers = symfunc._powers
+
+    def recording(x, top, out):
+        tables.append(out)
+        return powers(x, top, out)
+
+    monkeypatch.setattr(symfunc, "_powers", recording)
+    rng = np.random.default_rng(30)
+    ys = rng.uniform(-0.6, 0.6, size=(65536, 3))
+    bessel_kernel(RootSystemConfig(TYPE_A, 3, 2.0), np.array([-0.3, 0.1, 0.4]), ys,
+                  max_degree=30)
+    assert max(t.size for t in tables) <= intertwine._SERIES_BLOCK_ENTRIES
+    y_tables = [t for t in tables if t.ndim == 3]
+    rows = intertwine._SERIES_BLOCK_ENTRIES // (31 * 3)
+    assert len(y_tables) == -(-65536 // rows)
+    assert all(np.shares_memory(t, y_tables[0]) for t in y_tables)
+
+
+@pytest.mark.parametrize("n, x, y", [
+    (2, [0.1, 0.2, 0.3], [0.3, 0.1]),
+    (2, [0.1, 0.2], [0.3, 0.1, 0.2]),
+    (3, [0.1, 0.2, 0.3], [[0.3, 0.1]] * 4),
+], ids=["longer_x", "longer_y", "shorter_y"])
+def test_points_of_the_wrong_length_are_refused(n, x, y):
+    name, shape = ("x", np.shape(x)) if len(x) != n else ("y", np.shape(y))
+    message = re.escape(f"{name} has shape {shape}") + f".*n_vars = {n} "
+    with pytest.raises(ValueError, match=message):
+        hyper_series(HyperSeriesParams(alpha=1.0, n_vars=n), x, y)
+    with pytest.raises(ValueError, match=message):
+        bessel_kernel(RootSystemConfig(TYPE_A, n, 2.0), x, y)
 
 
 def test_kernel_reproducing_small_sample():

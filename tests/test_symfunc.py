@@ -99,6 +99,19 @@ def test_monomial_eval_matches_brute_force(case):
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
+def test_one_shared_power_table_matches_monomial_eval():
+    # one table of powers 0..12 serves every m_lam of weight <= 12 in 4
+    # variables with the bits of monomial_eval, whose own table stops at lam_1
+    rng = np.random.default_rng(23)
+    for x in (rng.uniform(-1.3, 1.3, size=(2, 5, 4)), rng.uniform(-1.3, 1.3, size=4)):
+        powers = symfunc._powers(x, 12, np.empty((13, 4) + x.shape[:-1]))
+        for w in range(13):
+            for lam in partitions_of(w, 4):
+                got = symfunc._monomial_from_powers(lam, powers)
+                assert got.shape == x.shape[:-1]
+                assert np.all(got == monomial_eval(lam, x)), lam
+
+
 def test_elementary_eval():
     x = np.array([1.0, 2.0, 3.0])
     assert elementary_eval(2, x) == pytest.approx(11.0)
