@@ -179,6 +179,8 @@ def cmd_fekete(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
+    if not 2 <= args.paths < math.inf:
+        _usage_error(f"--paths needs a finite number >= 2 of samples, got {args.paths:g}")
     sizes = {
         "freezing": dict(ns=range(1, 9)),
         "fke": dict(ns=(3,), seed=args.seed),

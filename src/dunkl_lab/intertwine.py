@@ -176,18 +176,18 @@ _SERIES_BLOCK_ENTRIES = 1 << 17
 
 
 def _series_shells(params: HyperSeriesParams, x, ybatch):
-    """Per-degree shell values of the series, vectorized over ybatch (..., N).
+    """Sum and top shell of the series, vectorized over ybatch (..., N).
 
     shell_d = sum over |tau| = d of
         (c_tau / c'_tau) P_tau(x) P_tau(y) / ((N/alpha)_tau [(b)_tau]).
-    x is one point (N,) or a stack of k points (k, N); the shells have shape
-    (D+1,) + ybatch.shape[:-1], with a k axis after the degree axis for a
-    stack.  The x side runs first, degree by degree: m_mu(x) is evaluated
-    once per partition mu of d, every P_tau(x) is formed from those values,
-    and the tau sum is collapsed to monomial coefficients in y (one per x
-    point).  The y side then walks the points in blocks: one table of the
-    powers y^0..y^D per block (at most _SERIES_BLOCK_ENTRIES entries, in one
-    buffer refilled for each block) serves every m_mu(y) of every degree.
+    x is one point (N,) or a stack of k points (k, N); the sum shell_0 + ...
+    + shell_D and shell_D each have shape x.shape[:-1] + ybatch.shape[:-1].
+    The x side runs first, degree by degree: m_mu(x) is evaluated once per
+    partition mu of d, every P_tau(x) is formed from those values, and the
+    tau sum is collapsed to monomial coefficients in y (one per x point).
+    The y side walks the points in blocks: one table of the powers y^0..y^D
+    per block (at most _SERIES_BLOCK_ENTRIES entries, in one reused buffer)
+    serves every m_mu(y), and the block's shells reduce to its sum and top.
     A last axis of x or of ybatch other than n_vars raises ValueError.
     """
     alpha, n, b, top = params.alpha, params.n_vars, params.b, params.max_degree
@@ -213,38 +213,43 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
         coeffs.append(mu_coeffs)
     ys = ybatch.reshape(-1, n)
     m = len(ys)
-    shells = np.zeros((top + 1,) + x.shape[:-1] + (m,))
+    out = np.empty((2,) + x.shape[:-1] + (m,))
     rows = max(1, _SERIES_BLOCK_ENTRIES // ((top + 1) * n))
     buf = np.empty((top + 1) * n * min(rows, m))
+    shells = np.empty((top + 1,) + x.shape[:-1] + (min(rows, m),))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         table = buf[:(top + 1) * n * (hi - lo)].reshape(top + 1, n, hi - lo)
         powers = symfunc._powers(ys[lo:hi], top, table)
+        shells.fill(0.0)
         for d, mu_coeffs in enumerate(coeffs):
             for mu, c in mu_coeffs.items():
-                shells[d, ..., lo:hi] += np.multiply.outer(
+                shells[d, ..., :hi - lo] += np.multiply.outer(
                     c, symfunc._monomial_from_powers(mu, powers))
-    return shells.reshape(shells.shape[:-1] + ybatch.shape[:-1])
+        # full width: numpy would add a one-point block's degrees pairwise, not in order
+        out[0, ..., lo:hi] = shells.sum(axis=0)[..., :hi - lo]
+        out[1, ..., lo:hi] = shells[-1, ..., :hi - lo]
+    return tuple(out.reshape((2,) + x.shape[:-1] + ybatch.shape[:-1]))
 
 
 def hyper_series(params: HyperSeriesParams, x, y):
     """Truncated series value and the last-shell magnitude diagnostic.
 
-    0F1 when params.b is set, 0F0 otherwise; callers should treat a last
-    shell above ~1e-8 of the partial sum as unconverged.
+    0F1 when params.b is set, 0F0 otherwise, at points x and y; callers
+    should treat a last shell above ~1e-8 of the partial sum as unconverged.
     """
-    shells = _series_shells(params, x, np.asarray(y, dtype=float))
-    return float(shells.sum()), float(abs(shells[-1]))
+    total, last = _series_shells(params, x, y)
+    return float(total), float(abs(last))
 
 
 def _kernel_shells(cfg: RootSystemConfig, x, y, max_degree: int):
-    """(|W|, series shells) of bessel_kernel(cfg, x, y); type B's series
-    runs in the squared variables x^2/2, y^2/2."""
+    """(|W|, series sum, top shell) of bessel_kernel(cfg, x, y); type B's
+    series runs in the squared variables x^2/2, y^2/2."""
     params = HyperSeriesParams(alpha=2.0 / cfg.beta, n_vars=cfg.n,
                                max_degree=max_degree, b=_lower_param(cfg))
     if cfg.kind == TYPE_B:
         x, y = x * x / 2.0, y * y / 2.0
-    return weyl_order(cfg), _series_shells(params, x, y)
+    return (weyl_order(cfg),) + _series_shells(params, x, y)
 
 
 def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
@@ -256,8 +261,8 @@ def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pref, shells = _kernel_shells(cfg, x, y, max_degree)
-    out = pref * shells.sum(axis=0)
+    pref, total, _ = _kernel_shells(cfg, x, y, max_degree)
+    out = pref * total
     return float(out) if out.ndim == 0 else out
 
 
@@ -313,11 +318,11 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
         raise ValueError("t > 0 required")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pref, shells = _kernel_shells(cfg, x, y / t, max_degree)
-    total = float(shells.sum())
+    pref, total, last = _kernel_shells(cfg, x, y / t, max_degree)
+    total = float(total)
     kern = pref * total
     # truncation diagnostic: relative size of the top degree shell
-    ratio = abs(float(shells[-1])) / max(abs(total), np.finfo(float).tiny)
+    ratio = abs(float(last)) / max(abs(total), np.finfo(float).tiny)
     value = (
         log_weight(cfg, y / math.sqrt(t))
         - (float(y @ y) + float(x @ x)) / (2 * t)
@@ -388,20 +393,17 @@ def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
         (1/c_beta) int K(x,y) K(x,z) e^{-|x|^2/2} w(x) dx
             = |W| e^{(|y|^2+|z|^2)/2} K(y, z).
 
-    K(., y) and K(., z) come from one series pass over each chunk of samples.
-    Returns (lhs_estimate, rhs_value, std_error).
+    K(., y) and K(., z) come from one series pass over all samples.
+    Returns (lhs_estimate, rhs_value, std_error); n_samples < 2 raises.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples = {n_samples}: the standard error needs at least 2 samples")
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     xs = sample_gaussian_weight(cfg, n_samples, seed)
-    yz = np.stack([y, z])
-    vals = np.empty(n_samples)
-    step = 1 << 16
-    for lo in range(0, n_samples, step):
-        chunk = xs[lo:lo + step]
-        pref, shells = _kernel_shells(cfg, yz, chunk, max_degree)
-        k_y, k_z = pref * shells.sum(axis=0)
-        vals[lo:lo + len(chunk)] = k_y * k_z
+    pref, total, _ = _kernel_shells(cfg, np.stack([y, z]), xs, max_degree)
+    k_y, k_z = np.multiply(pref, total, out=total)
+    vals = k_y * k_z
     lhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     rhs = (

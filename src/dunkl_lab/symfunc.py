@@ -374,9 +374,14 @@ def jack_to_monomial(p: SymPoly) -> SymPoly:
 
 
 def sympoly_eval(p: SymPoly, x):
-    """Evaluate a SymPoly at x (any basis)."""
-    mono = jack_to_monomial(p)
+    """Evaluate a SymPoly at x (any basis); x's last axis must have length
+    p.n_vars, else ValueError."""
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (p.n_vars,):
+        raise ValueError(f"x has shape {x.shape}, but the polynomial is in "
+                         f"n_vars = {p.n_vars} variables: its last axis must have length "
+                         f"{p.n_vars}")
+    mono = jack_to_monomial(p)
     total = np.zeros(x.shape[:-1])
     for mu, c in mono.coeffs.items():
         total = total + c * monomial_eval(mu, x)

@@ -230,6 +230,15 @@ def test_verify_raising_suite_exits_3(monkeypatch, capsys):
     assert "suite limits aborted: overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("paths", ["0", "1", "-5", "inf", "nan"])
+def test_verify_paths_below_two_is_usage_error(paths, capsys):
+    # the reproducing check needs two samples for its standard error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "kernel", "--paths", paths])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --paths needs a finite number >= 2")
+
+
 def test_verify_suite_choices_are_the_registry():
     sub = build_parser()._subparsers._group_actions[0].choices["verify"]
     (suite,) = [a for a in sub._actions if a.dest == "suite"]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,16 +277,17 @@ def test_kernel_type_a_n2_closed_form_any_beta(beta):
 def test_kernel_degree_by_degree_expansion():
     # the symmetrized kernel expands as
     #   sum_mu N!/(mu! M(mu,N)) m_mu(y) [V m_mu](x);
-    # check that against the Jack-series shells through total degree 4.
+    # check that against the Jack-series shells through total degree 4,
+    # degree d as the top shell of the series truncated at D = d.
     from dunkl_lab.symfunc import multinomial_m, sympoly_eval, monomial_eval
     for n in (2, 3):
         beta = 2.0
         rng = np.random.default_rng(n)
         x = rng.uniform(-0.9, 0.9, size=n)
         y = rng.uniform(-0.9, 0.9, size=n)
-        params = HyperSeriesParams(alpha=2.0 / beta, n_vars=n, max_degree=4)
-        shells = intertwine._series_shells(params, x, y) * math.factorial(n)
         for deg in range(5):
+            params = HyperSeriesParams(alpha=2.0 / beta, n_vars=n, max_degree=deg)
+            _, shell = intertwine._series_shells(params, x, y)
             brute = 0.0
             for mu in partitions_of(deg, n):
                 fact = 1.0
@@ -294,7 +296,8 @@ def test_kernel_degree_by_degree_expansion():
                 vx = sympoly_eval(v_on_monomial(RootSystemConfig(TYPE_A, n, beta), mu), x)
                 brute += math.factorial(n) * monomial_eval(mu, y) * vx / (
                     fact * multinomial_m(mu, n))
-            assert float(shells[deg]) == pytest.approx(brute, rel=1e-9, abs=1e-12)
+            assert float(shell) * math.factorial(n) == pytest.approx(brute, rel=1e-9,
+                                                                     abs=1e-12)
 
 
 def test_plain_exponential_symmetrization_expansion():
@@ -498,9 +501,11 @@ def test_series_shells_stacked_points_match_single_points():
     for b in (None, 2.3):
         params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=12, b=b)
         stacked = intertwine._series_shells(params, xs, ys)
-        assert stacked.shape == (13, 2, 500)
         for k in range(2):
-            assert np.array_equal(stacked[:, k], intertwine._series_shells(params, xs[k], ys))
+            single = intertwine._series_shells(params, xs[k], ys)
+            for got, want in zip(stacked, single):
+                assert got.shape == (2, 500)
+                assert np.array_equal(got[k], want)
 
 
 def _monomial_eval_by_chain(lam, x):
@@ -557,18 +562,21 @@ def _series_shells_by_monomial(params, x, ybatch):
 @pytest.mark.parametrize("b", [None, 2.3])
 @pytest.mark.parametrize("x_shape", [(3,), (2, 3)], ids=["point", "stack"])
 def test_blocked_y_side_matches_one_call_per_monomial(degree, b, x_shape):
-    # one point, exactly one block, three blocks and 5 points, and a leading
-    # shape (a, b) whose rows straddle the blocks: the same bits as one call
-    # of the chain evaluator per monomial on the whole batch
+    # one point, exactly one block, one block and one point, three blocks and
+    # 5 points, and a leading shape (a, b) whose rows straddle the blocks: the
+    # same bits, sum and top shell, as one call of the chain evaluator per
+    # monomial on the whole batch
     params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=degree, b=b)
     rows = intertwine._SERIES_BLOCK_ENTRIES // ((degree + 1) * 3)
     rng = np.random.default_rng(degree)
     x = rng.uniform(-0.8, 0.8, size=x_shape)
-    for y_shape in [(3,), (rows, 3), (3 * rows + 5, 3), (3, rows // 2 + 1, 3)]:
+    for y_shape in [(3,), (rows, 3), (rows + 1, 3), (3 * rows + 5, 3), (3, rows // 2 + 1, 3)]:
         y = rng.uniform(-0.8, 0.8, size=y_shape)
-        got = intertwine._series_shells(params, x, y)
-        assert got.shape == (degree + 1,) + x_shape[:-1] + y_shape[:-1]
-        assert np.array_equal(got, _series_shells_by_monomial(params, x, y)), y_shape
+        total, last = intertwine._series_shells(params, x, y)
+        shells = _series_shells_by_monomial(params, x, y)
+        assert total.shape == last.shape == x_shape[:-1] + y_shape[:-1]
+        assert np.array_equal(total, shells.sum(axis=0)), y_shape
+        assert np.array_equal(last, shells[-1]), y_shape
 
 
 def test_y_power_tables_stay_within_the_block_budget(monkeypatch):
@@ -593,6 +601,23 @@ def test_y_power_tables_stay_within_the_block_budget(monkeypatch):
     assert all(np.shares_memory(t, y_tables[0]) for t in y_tables)
 
 
+def test_kernel_series_memory_does_not_grow_with_the_degree():
+    # the series keeps only its sum and top shell per point: a D=30 kernel on
+    # 65536 points (0.5 MB per value) traces under 4 MB, where one shell per
+    # degree per point would take 16 MB
+    cfg = RootSystemConfig(TYPE_A, 3, 2.0)
+    x = np.array([-0.3, 0.1, 0.4])
+    ys = np.random.default_rng(31).uniform(-0.6, 0.6, size=(65536, 3))
+    bessel_kernel(cfg, x, ys[:2], max_degree=30)  # fills the Jack cache
+    tracemalloc.start()
+    try:
+        bessel_kernel(cfg, x, ys, max_degree=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
 @pytest.mark.parametrize("n, x, y", [
     (2, [0.1, 0.2, 0.3], [0.3, 0.1]),
     (2, [0.1, 0.2], [0.3, 0.1, 0.2]),
@@ -614,3 +639,27 @@ def test_kernel_reproducing_small_sample():
         n_samples=30000, max_degree=20, seed=6)
     assert abs(lhs - rhs) <= 4 * se
     assert se < 0.1 * rhs
+
+
+@pytest.mark.parametrize("cfg, y, z", [
+    (RootSystemConfig(TYPE_A, 2, 2.0), [0.2, 0.5], [-0.4, 0.1]),
+    (RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5), [0.1, 0.4], [0.3, 0.6]),
+], ids=["A2", "B2"])
+def test_kernel_reproducing_check_is_the_mean_of_two_kernels(cfg, y, z):
+    # one series pass over 65536 + 1000 samples gives the bits of the two
+    # public kernels' product on the same samples
+    n, degree, seed = (1 << 16) + 1000, 12, 9
+    lhs, rhs, se = kernel_reproducing_check(cfg, y, z, n_samples=n, max_degree=degree,
+                                            seed=seed)
+    xs = sample_gaussian_weight(cfg, n, seed)
+    vals = bessel_kernel(cfg, y, xs, max_degree=degree) * bessel_kernel(
+        cfg, z, xs, max_degree=degree)
+    assert lhs == float(vals.mean())
+    assert se == float(vals.std(ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("n_samples", [-5, 0, 1])
+def test_kernel_reproducing_check_needs_two_samples(n_samples):
+    with pytest.raises(ValueError, match=f"n_samples = {n_samples}: .*at least 2"):
+        kernel_reproducing_check(RootSystemConfig(TYPE_A, 2, 2.0), [0.2, 0.5], [-0.4, 0.1],
+                                 n_samples=n_samples)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dunkl_lab import symfunc
+from dunkl_lab.intertwine import v_on_monomial
+from dunkl_lab.rootsys import TYPE_A, RootSystemConfig
 from dunkl_lab.symfunc import (
     SymPoly,
     conjugate,
@@ -367,6 +370,16 @@ def test_sympoly_drops_zeros_and_eval():
     assert (1, 1) not in p.coeffs
     x = np.array([1.0, 2.0, 3.0])
     assert sympoly_eval(p, x) == pytest.approx(1.5 * 14.0)
+
+
+@pytest.mark.parametrize("poly, x", [
+    (SymPoly("monomial", {(1,): 1.0}, 2), [1.0, 1.0, 1.0]),
+    (v_on_monomial(RootSystemConfig(TYPE_A, 3, 2.0), (2,)), [0.3, 0.1]),
+], ids=["longer", "shorter"])
+def test_sympoly_eval_refuses_a_point_of_the_wrong_length(poly, x):
+    message = re.escape(f"x has shape ({len(x)},)") + f".*n_vars = {poly.n_vars} "
+    with pytest.raises(ValueError, match=message):
+        sympoly_eval(poly, x)
 
 
 def test_jack_to_monomial_roundtrip():
