@@ -40,7 +40,10 @@ def zero_oracle(cfg: RootSystemConfig) -> np.ndarray:
 
 
 def freezing(ns):
-    """Type A and type B (nu in 0.5, 1, 2.5) at beta = 2 for each N in ns."""
+    """Type A and type B (nu in 0.5, 1, 2.5) at beta = 2 for each N in ns:
+    the freezing identities and the peak set against the zero oracle, then
+    the potential's Hessian at the peak set, whose eigenvalues are exactly
+    c k, k = 1..N, with c = 1 (A) or 2 (B)."""
     out = []
     for n in ns:
         cases = [RootSystemConfig(TYPE_A, n, 2.0)]
@@ -51,8 +54,12 @@ def freezing(ns):
             err = max(rep.identity_residuals["potential_minus_constant"],
                       rep.identity_residuals["sq_norm_minus_gamma"],
                       float(np.max(np.abs(rep.minimizer - zero_oracle(cfg)))))
-            suffix = f"_nu{cfg.nu}" if cfg.kind == TYPE_B else ""
-            out.append(_record(f"freezing_{cfg.kind}_n{n}{suffix}", err, 1e-9, t0))
+            suffix = f"{cfg.kind}_n{n}" + (f"_nu{cfg.nu}" if cfg.kind == TYPE_B else "")
+            out.append(_record(f"freezing_{suffix}", err, 1e-9, t0))
+            t0 = time.perf_counter()
+            spectrum = (1.0 if cfg.kind == TYPE_A else 2.0) * np.arange(1, n + 1)
+            err = np.max(np.abs(np.linalg.eigvalsh(rep.hessian) / spectrum - 1.0))
+            out.append(_record(f"hessian_{suffix}", err, 1e-9, t0))
     return out
 
 

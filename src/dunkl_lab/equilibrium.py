@@ -15,7 +15,8 @@ e_j + e_i roots and F = |v|^2/2 - (2 nu + 1)/2 sum log|v_i| - sum_{i<j}
 log|v_j^2 - v_i^2|.  F is strictly convex on the chamber; the unique
 interior minimizer is the Hermite zero set (A) or the elementwise square
 root of the Laguerre zero set with parameter nu - 1/2 (B).  The chamber
-test (every alpha . v > 0) reads the same alpha . v as the value it guards.
+gate (every alpha . v > 0, `rootsys.chamber_dot`) hands the value it guards
+the same alpha . v.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 from .rootsys import (
     TYPE_A,
     RootSystemConfig,
+    _point,
+    chamber_dot,
     freezing_constant,
     gamma,
     root_table,
@@ -41,22 +44,14 @@ class PotentialReport:
     minimizer: np.ndarray
     potential_at_min: float
     freezing_constant: float
+    #: the potential's Hessian at the minimizer, from the last Newton iteration
+    hessian: np.ndarray
     identity_residuals: dict = field(default_factory=dict)
     newton_iterations: int = 0
     #: Newton decrement g^T H^-1 g at the minimizer, the solver's error measure
     newton_decrement: float = 0.0
     #: potential evaluations, line-search trials included
     potential_evaluations: int = 0
-
-
-def _interior_dot(cfg, v):
-    """alpha . v over the root table, for a point v strictly inside the chamber."""
-    if v.shape != (cfg.n,):
-        raise ValueError("coordinate vector has wrong length")
-    a = root_table(cfg).dot(v)
-    if not np.all(a > 0):
-        raise ValueError("point is not strictly inside the Weyl chamber")
-    return a
 
 
 def potential(cfg: RootSystemConfig, v):
@@ -66,7 +61,7 @@ def potential(cfg: RootSystemConfig, v):
     and Hessian I + sum kappa alpha alpha^T / a^2.
     """
     v = np.asarray(v, dtype=float)
-    a = _interior_dot(cfg, v)
+    a = chamber_dot(cfg, v)
     n, t = cfg.n, root_table(cfg)
     g = t.kappa / a
     w = g / a
@@ -143,6 +138,7 @@ def peak_set(cfg: RootSystemConfig) -> PotentialReport:
         newton_iterations=iters,
         newton_decrement=dec,
         potential_evaluations=evals,
+        hessian=hess,
     )
     report.identity_residuals = {
         "potential_minus_constant": abs(val - k),
@@ -174,7 +170,7 @@ def steady_state_logdensity(cfg: RootSystemConfig, v) -> float:
     Defined by reflection symmetry on all of R^N (F is evaluated through
     |alpha . v|, as the FKE reflections need); -inf on chamber walls.
     """
-    v = np.asarray(v, dtype=float)
+    v = _point(cfg, v)
     n, b = cfg.n, cfg.beta
     pref = math.lgamma(n + 1) + n / 2.0 * math.log(
         b / (2 * math.pi) if cfg.kind == TYPE_A else 2 * b)
@@ -190,8 +186,8 @@ def _cached_peak(cfg):
     computed once per (kind, n, nu): none of them depends on beta."""
     key = (cfg.kind, cfg.n, cfg.nu)
     if key not in _PEAK_CACHE:
-        s = peak_set(cfg).minimizer
-        _, _, hess = potential(cfg, s)
+        rep = peak_set(cfg)
+        s, hess = rep.minimizer, rep.hessian
         sign, logdet = np.linalg.slogdet(hess)
         if sign <= 0:
             raise ArithmeticError("Hessian not positive definite at the peak set")
@@ -207,7 +203,7 @@ def gaussian_steady_approx(cfg: RootSystemConfig, v) -> float:
           exp(-beta (v - rho s)^T H (v - rho s) / 2),
     with H the potential Hessian at s.
     """
-    v = np.asarray(v, dtype=float)
+    v = _point(cfg, v)
     n, b = cfg.n, cfg.beta
     s, hess, logdet = _cached_peak(cfg)
     orbit = weyl_orbit(cfg, s)
@@ -245,7 +241,7 @@ def fke_residual(cfg: RootSystemConfig, logdensity_fn, v) -> FkeResidual:
     relative scale.
     """
     v = np.asarray(v, dtype=float)
-    a = _interior_dot(cfg, v)
+    a = chamber_dot(cfg, v)
     n, t = cfg.n, root_table(cfg)
     h = 1e-4 * max(1.0, float(np.linalg.norm(v)))
     # boundary margin: all stencil points must stay off the chamber walls

@@ -34,6 +34,7 @@ from .rootsys import (
     TYPE_A,
     TYPE_B,
     RootSystemConfig,
+    _point,
     gamma,
     log_selberg_const,
     log_weight,
@@ -235,9 +236,15 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
 def hyper_series(params: HyperSeriesParams, x, y):
     """Truncated series value and the last-shell magnitude diagnostic.
 
-    0F1 when params.b is set, 0F0 otherwise, at points x and y; callers
-    should treat a last shell above ~1e-8 of the partial sum as unconverged.
+    0F1 when params.b is set, 0F0 otherwise, at one point x and one point y,
+    each of shape (n_vars,); callers should treat a last shell above ~1e-8 of
+    the partial sum as unconverged.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"hyper_series takes one x point and one y point: x has shape "
+                         f"{x.shape} and y has shape {y.shape}, in n_vars = {params.n_vars} "
+                         "variables")
     total, last = _series_shells(params, x, y)
     return float(total), float(abs(last))
 
@@ -283,8 +290,7 @@ def frozen_kernel(cfg: RootSystemConfig, x, y, corrected: bool = False) -> float
     large-argument |x_r||y_r|/sqrt(beta) regimes.  The quadratic term is 0
     when x_r or y_r is 0, which covers type A at N = 1 (no roots).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _point(cfg, x), _point(cfg, y)
     proj = span_complement(cfg)
     px, py = proj @ x, proj @ y
     xr, yr = x - px, y - py

@@ -12,7 +12,9 @@ arrays, so a sum over roots is a gather and a `np.bincount` or a sum over
 the root axis; no dense root matrix is built.  Type B's pair factor
 log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
 The chamber is {x : alpha . x > 0 for every positive root alpha}: the
-chamber test and the log weight read alpha . x from `RootTable.dot`.
+chamber test, the chamber gate `chamber_dot` and the log weight read alpha . x
+from `RootTable.dot`.  `_point` is the one length check of a single point: a
+float vector of shape (N,), or ValueError.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:
     leading axes).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != cfg.n:
-        raise ValueError("coordinate vector has wrong length")
+    if x.shape[-1:] != (cfg.n,):
+        raise ValueError(f"coordinate vector has wrong length: shape {x.shape}, N = {cfg.n}")
     t = root_table(cfg)
     a = t.dot(np.moveaxis(x, -1, 0))  # alpha . x, root axis first
     with np.errstate(divide="ignore"):
@@ -186,13 +188,25 @@ def freezing_constant(cfg: RootSystemConfig) -> float:
     return n / 2.0 * (n + nu - 0.5) - 0.5 * s_ilogi - 0.5 * s_b
 
 
+def _point(cfg: RootSystemConfig, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (cfg.n,):
+        raise ValueError(f"coordinate vector has wrong length: shape {x.shape}, N = {cfg.n}")
+    return x
+
+
 def in_weyl_chamber(cfg: RootSystemConfig, x) -> bool:
     """Strict chamber membership, alpha . x > 0 for every positive root, so
     a type-B +inf coordinate is outside: its root reads inf + 0 inf = NaN."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.n,):
-        raise ValueError("coordinate vector has wrong length")
-    return bool(np.all(root_table(cfg).dot(x) > 0))
+    return bool(np.all(root_table(cfg).dot(_point(cfg, x)) > 0))
+
+
+def chamber_dot(cfg: RootSystemConfig, x) -> np.ndarray:
+    """alpha . x over the root table for x strictly inside the chamber; ValueError otherwise."""
+    a = root_table(cfg).dot(_point(cfg, x))
+    if not np.all(a > 0):
+        raise ValueError("point is not strictly inside the Weyl chamber")
+    return a
 
 
 def weyl_order(cfg: RootSystemConfig) -> int:

@@ -19,9 +19,8 @@ projects; the ensemble, the noise-free schedule path, `euler_step` and
 `drift` (m = 1) all go through it.  The projection re-sorts only the paths
 that left the chamber: after the absolute value (type B) it flags the
 columns with a descent, a tie or a zero, then sorts and unties those alone,
-which is bit-identical to sorting every path on every step.  Beyond the
-root table, the projection's reflection at 0 is the one thing that tells
-type B from type A here.
+which is bit-identical to sorting every path on every step.  The
+projection's reflection at 0 is read from the coordinate roots.
 
 The step dt of a plan is the largest step.  Near a stiff start, where
 particles begin close together (or, for type B, close to the origin), the
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .rootsys import TYPE_B, RootSystemConfig, in_weyl_chamber, root_table
+from .rootsys import RootSystemConfig, _point, chamber_dot, in_weyl_chamber, root_table
 
 _CHUNK = 1 << 14  # paths held in memory at once, a multiple of _LANE
 _LANE = 1 << 10  # paths per noise stream: fixed, part of the deterministic stream layout
@@ -103,10 +102,8 @@ def relaxation_bound(stats: InitStats, beta: float) -> float:
 
 def drift(cfg: RootSystemConfig, x) -> np.ndarray:
     """SDE drift at a single interior configuration."""
-    x = np.asarray(x, dtype=float)
-    if not in_weyl_chamber(cfg, x):
-        raise ValueError("drift requires a strictly interior configuration")
-    return _Batch(cfg, x.reshape(-1, 1)).drift()[:, 0]
+    chamber_dot(cfg, x)
+    return _Batch(cfg, np.asarray(x, dtype=float).reshape(-1, 1)).drift()[:, 0]
 
 
 class _Batch:
@@ -128,17 +125,16 @@ class _Batch:
         # path is worked as two equal columns and read back from the first
         w = max(m, 2)
         self.b = np.empty((n, w))
-        self._signed = cfg.kind == TYPE_B  # chamber 0 < x_1 < ... < x_N: reflect at 0
-        # one row per chamber wall: x_{k+1} > x_k, and for type B x_1 > 0 first
-        self._walls = np.empty((n - 1 + self._signed, m), dtype=bool)
+        t = root_table(cfg)
+        coord = t.s == 0
+        self._signed = bool(coord.any())  # roots e_j: 0 < x_1 < ... < x_N, reflect at 0
+        self._walls = np.empty((n - 1 + self._signed, m), dtype=bool)  # a row per wall
         self._ok = np.empty(m, dtype=bool)
         # The table lists the pair roots row by row, j = 1..N-1 and i < j in
         # order (e_j - e_i, then e_j + e_i where the table mirrors), and the
         # coordinate roots e_j last, each with one kappa.
-        t = root_table(cfg)
         self._mirror = bool(np.any(t.s > 0))
         blk = np.empty((max(n - 1, 1), 1 + self._mirror, w))  # the largest row's 1/(alpha . x)
-        coord = t.s == 0
         self._coord = None
         if coord.any():  # kappa / x_j, formed in the block's first N rows
             self._coord = t.kappa[coord][:, None], blk.reshape(-1, w)[:n]
@@ -183,9 +179,9 @@ class _Batch:
         return self.project()
 
     def project(self):
-        """In-place chamber projection: reflect (B), then sort and untie only
-        the paths that are not strictly inside the chamber (a descent, a tie,
-        a zero for B, or a NaN); returns the number of tie and zero repairs."""
+        """In-place chamber projection: reflect at 0 where the e_j are roots,
+        then sort and untie only the paths not strictly inside the chamber (a
+        zero, a descent, a tie or a NaN); returns the tie and zero repairs."""
         x, ok, rises = self.x, self._ok, self._walls
         if self._signed:
             np.abs(x, out=x)
@@ -215,8 +211,8 @@ class _Batch:
 
 def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) -> ParticleState:
     """One Euler–Maruyama step followed by the chamber projection."""
-    x = np.array(state.positions, dtype=float).reshape(-1, 1)
-    _Batch(cfg, x).step(dt, np.array(noise, dtype=float).reshape(1, -1))
+    x = _point(cfg, state.positions).reshape(-1, 1).copy()
+    _Batch(cfg, x).step(dt, _point(cfg, noise).reshape(1, -1).copy())
     return ParticleState(positions=x[:, 0], time=state.time + dt)
 
 

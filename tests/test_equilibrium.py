@@ -169,6 +169,18 @@ def test_potential_rejects_wall_points():
                 fn(cfg, np.array(v))
 
 
+@pytest.mark.parametrize("kind,n,nu", [(TYPE_A, 7, None), (TYPE_A, 50, None),
+                                       (TYPE_B, 7, 0.5), (TYPE_B, 40, 0.0), (TYPE_B, 25, 2.5)])
+def test_hessian_at_the_peak_set_has_spectrum_c_k(kind, n, nu):
+    # the report's Hessian is the potential's at the minimizer, bit for bit,
+    # and its eigenvalues are 1, 2, ..., N (A) and 2, 4, ..., 2N (B, any nu)
+    cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
+    rep = peak_set(cfg)
+    assert np.array_equal(rep.hessian, potential(cfg, rep.minimizer)[2])
+    spectrum = (1.0 if kind == TYPE_A else 2.0) * np.arange(1, n + 1)
+    assert np.max(np.abs(np.linalg.eigvalsh(rep.hessian) / spectrum - 1.0)) < 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
 def test_peak_set_type_a_is_hermite_zero_set(n):
     rep = peak_set(RootSystemConfig(TYPE_A, n, 2.0))

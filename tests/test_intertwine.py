@@ -632,6 +632,15 @@ def test_points_of_the_wrong_length_are_refused(n, x, y):
         bessel_kernel(RootSystemConfig(TYPE_A, n, 2.0), x, y)
 
 
+@pytest.mark.parametrize("x, y", [(np.full((3, 2), 0.1), [0.1, 0.2]),
+                                  ([0.1, 0.2], np.ones((3, 2)))],
+                         ids=["batched_x", "batched_y"])
+def test_hyper_series_takes_one_point_each(x, y):
+    message = re.escape(f"x has shape {np.shape(x)} and y has shape {np.shape(y)}")
+    with pytest.raises(ValueError, match="one x point and one y point.*" + message):
+        hyper_series(HyperSeriesParams(alpha=1.0, n_vars=2), x, y)
+
+
 def test_kernel_reproducing_small_sample():
     cfg = RootSystemConfig(TYPE_A, 2, 2.0)
     lhs, rhs, se = kernel_reproducing_check(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from dunkl_lab import equilibrium, intertwine, sde
 from dunkl_lab.rootsys import (
     TYPE_A,
     TYPE_B,
     RootSystemConfig,
+    chamber_dot,
     freezing_constant,
     gamma,
     in_weyl_chamber,
@@ -259,8 +262,46 @@ def test_in_weyl_chamber():
     with np.errstate(invalid="ignore"):
         assert _in_chamber_by_order(cfgb, x) and not in_weyl_chamber(cfgb, x)
     assert in_weyl_chamber(RootSystemConfig(TYPE_A, 2, 2.0), x)
+    # a wrong length names the shape and N, for one point and for a batch
+    cases = [(in_weyl_chamber, [0.5, 1.0, 2.0]), (chamber_dot, [0.5, 1.0, 2.0]),
+             (log_weight, [[0.5, 1.0, 2.0]] * 4)]
+    for fn, x in cases:
+        with pytest.raises(ValueError, match=re.escape(f"wrong length: shape {np.shape(x)}, N = 2")):
+            fn(cfgb, x)
+
+
+_CFG_A3 = RootSystemConfig(TYPE_A, 3, 2.0)
+_X3 = [-1.0, 0.0, 1.0]
+
+
+# every public function that takes one point of the system checks its length
+@pytest.mark.parametrize("call", [
+    lambda v: equilibrium.steady_state_logdensity(_CFG_A3, v),
+    lambda v: equilibrium.gaussian_steady_approx(_CFG_A3, v),
+    lambda v: sde.euler_step(_CFG_A3, sde.ParticleState(v, 0.0), 0.01, np.zeros(3)),
+    lambda v: sde.euler_step(_CFG_A3, sde.ParticleState(_X3, 0.0), 0.01, v),
+    lambda v: intertwine.frozen_kernel(_CFG_A3, v, _X3),
+    lambda v: intertwine.frozen_kernel(_CFG_A3, _X3, v),
+], ids=["steady_state_logdensity", "gaussian_steady_approx", "euler_step_positions",
+        "euler_step_noise", "frozen_kernel_x", "frozen_kernel_y"])
+@pytest.mark.parametrize("v", [[-1.0, 0.0, 1.0, 5.0], [-1.0, 1.0]], ids=["longer", "shorter"])
+def test_a_point_of_the_wrong_length_is_refused(call, v):
     with pytest.raises(ValueError, match="wrong length"):
-        in_weyl_chamber(cfgb, np.array([0.5, 1.0, 2.0]))
+        call(np.array(v))
+
+
+@pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 0.5)])
+def test_chamber_dot_gates_on_the_chamber_test(kind, nu):
+    # alpha . x for every point in_weyl_chamber lets in, a refusal for every other
+    cfg = RootSystemConfig(kind, 2, 2.0, nu=nu)
+    for x in itertools.product(_EDGE_VALUES, repeat=2):
+        x = np.array(x)
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 inf
+            if in_weyl_chamber(cfg, x):
+                assert np.array_equal(chamber_dot(cfg, x), root_table(cfg).dot(x))
+            else:
+                with pytest.raises(ValueError, match="not strictly inside the Weyl chamber"):
+                    chamber_dot(cfg, x)
 
 
 def _in_chamber_by_order(cfg, x):

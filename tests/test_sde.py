@@ -398,7 +398,7 @@ def test_drift_hand_values():
     cfgb = RootSystemConfig(TYPE_B, 1, 3.0, nu=0.5)
     db = drift(cfgb, np.array([2.0]))
     assert db[0] == pytest.approx(3.0 * 2.0 / (4 * 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not strictly inside the Weyl chamber"):
         drift(CFG_A2, np.array([1.0, 1.0]))
 
 
