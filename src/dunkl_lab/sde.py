@@ -29,12 +29,11 @@ stiffness along the noise-free path, so explicit Euler does not throw the
 particles past where the drift would take them.  A start that is not stiff
 at dt gets uniform steps of dt.
 
-Ensembles are integrated one fixed-size path chunk after another.  Lane l,
-paths 1024 l to 1024 l + 1023, draws its noise from its own SFC64 stream
-keyed by (seed, l), so a path's bits depend only on the plan.  A chunk's
-lanes are grouped into one tile per core that the CPU affinity allows (a
-small chunk stays whole); each tile draws its own noise and runs the whole
-schedule on its own thread, with no per-step wait.
+Lane l, paths 1024 l to 1024 l + 1023, draws its noise from its own SFC64
+stream keyed by (seed, l), so a path's bits depend only on the plan.  Tiles
+of whole lanes, one per core that the CPU affinity allows and more where one
+would hold over _TILE_MAX particles, each draw their own noise and run the
+whole schedule on a thread, with no per-step wait; cores + 1 hold buffers.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from .rootsys import RootSystemConfig, _point, chamber_dot, in_weyl_chamber, root_table
 
-_CHUNK = 1 << 14  # paths held in memory at once, a multiple of _LANE
 _LANE = 1 << 10  # paths per noise stream: fixed, part of the deterministic stream layout
 _TILE = 1 << 13  # fewest particles (paths x N) worth a worker of their own
+_TILE_MAX = 1 << 16  # most particles in a tile of more than one lane
 
 
 @dataclass
@@ -126,18 +125,17 @@ class _Batch:
         w = max(m, 2)
         self.b = np.empty((n, w))
         t = root_table(cfg)
-        coord = t.s == 0
-        self._signed = bool(coord.any())  # roots e_j: 0 < x_1 < ... < x_N, reflect at 0
-        self._walls = np.empty((n - 1 + self._signed, m), dtype=bool)  # a row per wall
-        self._ok = np.empty(m, dtype=bool)
         # The table lists the pair roots row by row, j = 1..N-1 and i < j in
         # order (e_j - e_i, then e_j + e_i where the table mirrors), and the
         # coordinate roots e_j last, each with one kappa.
         self._mirror = bool(np.any(t.s > 0))
         blk = np.empty((max(n - 1, 1), 1 + self._mirror, w))  # the largest row's 1/(alpha . x)
+        coord = t.s == 0  # roots e_j: 0 < x_1 < ... < x_N, reflect at 0
         self._coord = None
         if coord.any():  # kappa / x_j, formed in the block's first N rows
             self._coord = t.kappa[coord][:, None], blk.reshape(-1, w)[:n]
+        self._walls = np.empty((n - 1 + bool(self._coord), m), dtype=bool)  # a row per wall
+        self._ok = np.empty(m, dtype=bool)
         self._rows = [(x[j], x[:j], blk[:j], blk[:j].reshape(-1, w), self.b[j], self.b[:j])
                       for j in range(1, n)]
 
@@ -183,7 +181,7 @@ class _Batch:
         then sort and untie only the paths not strictly inside the chamber (a
         zero, a descent, a tie or a NaN); returns the tie and zero repairs."""
         x, ok, rises = self.x, self._ok, self._walls
-        if self._signed:
+        if self._coord:
             np.abs(x, out=x)
             np.greater(x[0], 0.0, out=rises[0])
             rises = rises[1:]
@@ -194,7 +192,7 @@ class _Batch:
         cols = np.flatnonzero(~ok)
         y = np.sort(x[:, cols], axis=0)
         repairs = 0
-        if self._signed:
+        if self._coord:
             zero = y[0] == 0.0
             if np.any(zero):
                 repairs += int(zero.sum())
@@ -210,8 +208,9 @@ class _Batch:
 
 
 def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) -> ParticleState:
-    """One Euler–Maruyama step followed by the chamber projection."""
-    x = _point(cfg, state.positions).reshape(-1, 1).copy()
+    """One Euler–Maruyama step from an interior point, then the chamber projection."""
+    chamber_dot(cfg, state.positions)
+    x = np.array(state.positions, dtype=float).reshape(-1, 1)
     _Batch(cfg, x).step(dt, _point(cfg, noise).reshape(1, -1).copy())
     return ParticleState(positions=x[:, 0], time=state.time + dt)
 
@@ -276,42 +275,38 @@ def _workers():
 
 
 def _tiles(m, n, workers):
-    """Column edges (a, c) of the tiles of an m-path chunk of N = n
-    particles: contiguous groups of whole lanes, one per worker, each of at
-    least _TILE particles, or the whole chunk."""
+    """Path edges (a, c) of the tiles of m paths of N = n particles:
+    contiguous groups of whole lanes, one per worker, each of at least _TILE
+    particles, and more wherever a tile would hold over _TILE_MAX particles;
+    only a single lane may exceed that."""
     lanes = -(-m // _LANE)
-    k = max(1, min(workers, lanes, m * n // _TILE))
+    most = max(1, _TILE_MAX // (_LANE * n))  # lanes that fit in _TILE_MAX
+    k = max(1, min(workers, lanes, m * n // _TILE), -(-lanes // most))
     return [(min(m, _LANE * (lanes * q // k)), min(m, _LANE * (lanes * (q + 1) // k)))
             for q in range(k)]
 
 
-def _run_tile(batch, noise, lanes, steps):
-    """Each step, fill each lane's rows of noise from its stream and step
-    the batch; returns the repair count."""
+def _tile(plan, a, c):
+    """The buffers of paths a..c, a a multiple of _LANE: the batch at the
+    start, the (c - a, N) noise, and each lane's stream with its noise rows."""
+    seed = int(plan.seed) & ((1 << 64) - 1)
+    x = np.repeat(np.asarray(plan.initial, dtype=float)[:, None], c - a, axis=1)
+    noise = np.empty((c - a, plan.cfg.n))
+    lanes = [(Generator(SFC64(SeedSequence(seed, spawn_key=(p // _LANE,)))),
+              noise[p - a:min(p + _LANE, c) - a]) for p in range(a, c, _LANE)]
+    return _Batch(plan.cfg, x), noise, lanes
+
+
+def _run_tile(batch, noise, lanes, steps, finals, bias):
+    """Each step, fill each lane's rows of noise from its stream and step the
+    batch; then write its finals and per-path bias; returns the repair count."""
     repairs = 0
     for h in steps:
         for rng, rows in lanes:
             rng.standard_normal(out=rows)
         repairs += batch.step(h, noise)
+    finals[:], bias[:] = batch.x.T, batch.bias
     return repairs
-
-
-def _run_chunk(plan, lo, hi, steps, pool):
-    """Finals (m, N), repairs and summed per-path Euler bias of paths lo..hi, lo
-    a multiple of _LANE.  Each of _tiles(m, N, workers) is one pool task that
-    runs the whole schedule on its columns of x and rows of the (m, N) noise;
-    all buffers are made in this thread.  The bias is summed over the paths in
-    order, so, like the finals, it does not depend on the tiles."""
-    seed = int(plan.seed) & ((1 << 64) - 1)
-    m = hi - lo
-    x = np.repeat(np.asarray(plan.initial, dtype=float)[:, None], m, axis=1)
-    noise = np.empty((m, plan.cfg.n))
-    tiles = [(_Batch(plan.cfg, x[:, a:c]), noise[a:c],
-              [(Generator(SFC64(SeedSequence(seed, spawn_key=((lo + p) // _LANE,)))),
-                noise[p:min(p + _LANE, c)]) for p in range(a, c, _LANE)])
-             for a, c in _tiles(m, plan.cfg.n, pool._max_workers)]
-    done = [pool.submit(_run_tile, *tile, steps) for tile in tiles]
-    return x.T, sum(f.result() for f in done), np.concatenate([t[0].bias for t in tiles]).sum()
 
 
 def simulate_paths(plan: SimPlan, return_stats: bool = False):
@@ -325,22 +320,27 @@ def simulate_paths(plan: SimPlan, return_stats: bool = False):
     Euler's excess of E|X_t|^2 over |x_0|^2 + (N + beta gamma) t.
     """
     steps = _step_schedule(plan.cfg, plan.initial, plan.dt, plan.t_final)
-    bounds = [(lo, min(lo + _CHUNK, plan.n_paths)) for lo in range(0, plan.n_paths, _CHUNK)]
+    finals, bias = np.empty((plan.n_paths, plan.cfg.n)), np.empty(plan.n_paths)
     workers = _workers()
+    tiles = _tiles(plan.n_paths, plan.cfg.n, workers)
+    done = []
     with ThreadPoolExecutor(workers) as pool:
-        results = [_run_chunk(plan, lo, hi, steps, pool) for lo, hi in bounds]
-    finals = np.concatenate([r[0] for r in results], axis=0)
-    if return_stats:
-        stats = {
-            "repairs": sum(r[1] for r in results),
-            "particle_steps": plan.n_paths * len(steps) * plan.cfg.n,
-            "n_steps": len(steps),
-            "euler_bias": float(sum(r[2] for r in results) / plan.n_paths),
-            "workers": workers,
-            "tiles": sum(len(_tiles(hi - lo, plan.cfg.n, workers)) for lo, hi in bounds),
-        }
-        return finals, stats
-    return finals
+        for a, c in tiles:
+            tile = _tile(plan, a, c)  # made before the wait: workers + 1 tiles hold buffers
+            if len(done) >= workers:
+                done[-workers].result()
+            done.append(pool.submit(_run_tile, *tile, steps, finals[a:c], bias[a:c]))
+        repairs = sum(f.result() for f in done)
+    if not return_stats:
+        return finals
+    return finals, {
+        "repairs": repairs,
+        "particle_steps": plan.n_paths * len(steps) * plan.cfg.n,
+        "n_steps": len(steps),
+        "euler_bias": float(bias.sum() / plan.n_paths),
+        "workers": workers,
+        "tiles": len(tiles),
+    }
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,10 +86,11 @@ def _project_rows(cfg, x):
 
 
 def _run_chunk_rows(plan, lo, hi, steps):
-    """sde._run_chunk on (m, N) rows with a full sort every step, kept as its
-    oracle: lane l, paths 1024 l to 1024 l + 1023, draws its rows of each
-    step's noise from its own SFC64 stream, keyed by (seed, l).  Returns
-    the finals, the repair count and each path's sum of |h b|^2."""
+    """Paths lo..hi of sde.simulate_paths on (m, N) rows with a full sort
+    every step, kept as its oracle: lane l, paths 1024 l to 1024 l + 1023,
+    draws its rows of each step's noise from its own SFC64 stream, keyed by
+    (seed, l).  Returns the finals, the repair count and each path's sum of
+    |h b|^2."""
     cfg = plan.cfg
     seed = int(plan.seed) & ((1 << 64) - 1)
     edges = list(range(lo, hi, 1024)) + [hi]
@@ -108,17 +110,27 @@ def _run_chunk_rows(plan, lo, hi, steps):
     return x, repairs, bias
 
 
-def _run_chunk(plan, lo, hi, steps, workers=1):
-    """sde._run_chunk on a pool of the given size, with the pool's submit count."""
-    with _CountingPool(workers) as pool:
-        return *sde._run_chunk(plan, lo, hi, steps, pool), pool.submitted
+def _run_tile(plan, lo, hi, steps):
+    """Paths lo..hi as one tile of sde._run_tile: finals, repairs and each
+    path's Euler bias."""
+    finals, bias = np.empty((hi - lo, plan.cfg.n)), np.empty(hi - lo)
+    repairs = sde._run_tile(*sde._tile(plan, lo, hi), steps, finals, bias)
+    return finals, repairs, bias
+
+
+def _simulate(monkeypatch, plan, workers):
+    """simulate_paths as on `workers` cores, with its pool's submit count."""
+    monkeypatch.setattr(sde, "_workers", lambda: workers)
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", _CountingPool)
+    _CountingPool.submitted = 0
+    return *simulate_paths(plan, return_stats=True), _CountingPool.submitted
 
 
 class _CountingPool(ThreadPoolExecutor):
     submitted = 0
 
     def submit(self, *args, **kwargs):
-        self.submitted += 1
+        type(self).submitted += 1
         return super().submit(*args, **kwargs)
 
 
@@ -185,7 +197,7 @@ def test_row_blocked_drift_matches_pair_loop_on_few_paths(cfg, m):
         assert np.array_equal(drift(cfg, x[0]), ref[0])
 
 
-_CHUNK_CASES = [
+_ONE_TILE_CASES = [
     # the crowded benchmark's sizes: no path leaves the chamber
     (RootSystemConfig(TYPE_A, 32, 2.0), tuple(np.linspace(-16.0, 16.0, 32)), 1e-3, 10, 4096),
     (RootSystemConfig(TYPE_B, 32, 2.0, nu=0.5), tuple(np.arange(1.0, 33.0)), 1e-3, 10, 4096),
@@ -199,18 +211,18 @@ _CHUNK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("cfg, x0, dt, n_steps, m", _CHUNK_CASES,
+@pytest.mark.parametrize("cfg, x0, dt, n_steps, m", _ONE_TILE_CASES,
                          ids=["A32", "B32_nu0.5", "criterion4", "B7_beta1e4", "A3_beta0.5",
                               "B4_nu0"])
 def test_particle_major_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
+    # all m paths as one tile, run through the whole schedule at once
     plan = SimPlan(cfg=cfg, dt=dt, t_final=dt * n_steps, n_paths=m, seed=7, initial=x0)
     steps = sde._step_schedule(cfg, x0, dt, plan.t_final)
-    finals, repairs, bias, submitted = _run_chunk(plan, 0, m, steps)
-    assert submitted == 1  # one tile, run through the whole schedule at once
+    finals, repairs, bias = _run_tile(plan, 0, m, steps)
     ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, m, steps)
     assert np.array_equal(finals, ref)
     assert repairs == ref_repairs
-    assert bias == ref_bias.sum()
+    assert np.array_equal(bias, ref_bias)
     if cfg.n == 32:
         assert repairs == 0
 
@@ -227,18 +239,18 @@ _TILED_CASES = [
 
 @pytest.mark.parametrize("cfg, x0, dt, n_steps, m", _TILED_CASES,
                          ids=["A32", "B32_nu0.5", "A3_beta0.5_uneven", "criterion4"])
-def test_tiled_chunk_matches_rows_bit_for_bit(cfg, x0, dt, n_steps, m):
+def test_tiled_chunk_matches_rows_bit_for_bit(monkeypatch, cfg, x0, dt, n_steps, m):
     plan = SimPlan(cfg=cfg, dt=dt, t_final=dt * n_steps, n_paths=m, seed=7, initial=x0)
     steps = sde._step_schedule(cfg, x0, dt, plan.t_final)
-    finals, repairs, bias, submitted = _run_chunk(plan, 0, m, steps, workers=2)
-    assert len(sde._tiles(m, cfg.n, 2)) == submitted == 2  # one submit per tile
+    finals, stats, submitted = _simulate(monkeypatch, plan, workers=2)
+    assert len(sde._tiles(m, cfg.n, 2)) == stats["tiles"] == submitted == 2  # a submit per tile
     ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, m, steps)
     assert np.array_equal(finals, ref)
-    assert repairs == ref_repairs
-    assert bias == ref_bias.sum()
+    assert stats["repairs"] == ref_repairs
+    assert stats["euler_bias"] == ref_bias.sum() / m
 
 
-def test_tiled_chunk_with_more_workers_than_cores():
+def test_tiled_chunk_with_more_workers_than_cores(monkeypatch):
     # three tiles on four threads, switching every 10 us: a lost update to
     # a shared buffer or a draw from another lane's stream would change the bits
     cfg = RootSystemConfig(TYPE_B, 4, 1.0, nu=0.0)
@@ -249,35 +261,71 @@ def test_tiled_chunk_with_more_workers_than_cores():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        finals, repairs, bias, submitted = _run_chunk(plan, 0, m, steps, workers=4)
+        finals, stats, submitted = _simulate(monkeypatch, plan, workers=4)
     finally:
         sys.setswitchinterval(interval)
     assert submitted == 3
     ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, m, steps)
     assert np.array_equal(finals, ref)
-    assert repairs == ref_repairs
-    assert bias == ref_bias.sum()
+    assert stats["repairs"] == ref_repairs
+    assert stats["euler_bias"] == ref_bias.sum() / m
+
+
+@pytest.mark.parametrize("cfg, m", [
+    # tiles of two and three whole lanes, each under _TILE_MAX particles
+    (RootSystemConfig(TYPE_A, 20, 2.0), 7 * 1024 + 5),
+    # a lane of 1024 paths holds over _TILE_MAX particles, so each is a tile
+    (RootSystemConfig(TYPE_B, 100, 2.0, nu=0.5), 2 * 1024 + 52),
+], ids=["A20", "B100"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_more_tiles_than_workers_match_rows_bit_for_bit(monkeypatch, cfg, m, workers):
+    x0 = tuple(np.arange(1.0, cfg.n + 1.0))
+    plan = SimPlan(cfg=cfg, dt=1e-3, t_final=3e-3, n_paths=m, seed=12, initial=x0)
+    tiles = sde._tiles(m, cfg.n, workers)
+    assert len(tiles) == 3 > workers
+    assert all((c - a) * cfg.n <= max(sde._LANE * cfg.n, sde._TILE_MAX) for a, c in tiles)
+    finals, stats, submitted = _simulate(monkeypatch, plan, workers)
+    assert stats["tiles"] == submitted == 3
+    steps = sde._step_schedule(cfg, x0, plan.dt, plan.t_final)
+    ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, m, steps)
+    assert np.array_equal(finals, ref)
+    assert stats["repairs"] == ref_repairs
+    assert stats["euler_bias"] == ref_bias.sum() / m
+
+
+def test_memory_is_bounded_by_tiles_not_paths(monkeypatch):
+    # A300, 16384 paths on two workers: the finals are 39 MB, and the three
+    # one-lane tiles in flight add about 11 MB each, not N x 16384 buffers
+    # for x, the noise and the drift
+    monkeypatch.setattr(sde, "_workers", lambda: 2)
+    cfg = RootSystemConfig(TYPE_A, 300, 2.0)
+    plan = SimPlan(cfg=cfg, dt=1e-3, t_final=2e-3, n_paths=16384, seed=13,
+                   initial=tuple(np.linspace(-30.0, 30.0, 300)))
+    tracemalloc.start()
+    try:
+        simulate_paths(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_finals_do_not_depend_on_the_pool(monkeypatch, workers):
-    # a full chunk of four tiles at most and a partial one of two at most,
-    # seven lanes, the last of 3 paths; about 8% of the paths are re-sorted
-    # each step
+    # 22 whole lanes and one of 3 paths in two tiles, or in four on four
+    # workers; about 8% of the paths are re-sorted each step
     cfg = RootSystemConfig(TYPE_A, 3, 0.5)
-    n_paths = sde._CHUNK + 6 * sde._LANE + 3
+    n_paths = 22 * sde._LANE + 3
     plan = SimPlan(cfg=cfg, dt=5e-2, t_final=1.0, n_paths=n_paths, seed=10,
                    initial=(0.0, 0.05, 0.1))
     steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
-    full, r0, b0 = _run_chunk_rows(plan, 0, sde._CHUNK, steps)
-    part, r1, b1 = _run_chunk_rows(plan, sde._CHUNK, n_paths, steps)
-    monkeypatch.setattr(sde, "_workers", lambda: workers)
-    finals, stats = simulate_paths(plan, return_stats=True)
-    assert np.array_equal(finals, np.concatenate([full, part]))
-    assert stats["repairs"] == r0 + r1
-    assert stats["euler_bias"] == (b0.sum() + b1.sum()) / n_paths
+    ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, n_paths, steps)
+    finals, stats, submitted = _simulate(monkeypatch, plan, workers)
+    assert np.array_equal(finals, ref)
+    assert stats["repairs"] == ref_repairs
+    assert stats["euler_bias"] == ref_bias.sum() / n_paths
     assert stats["workers"] == workers
-    assert stats["tiles"] == min(workers, 4) + min(workers, 2)
+    assert stats["tiles"] == submitted == max(workers, 2)
 
 
 def test_whole_lanes_keep_their_bits():
@@ -289,37 +337,41 @@ def test_whole_lanes_keep_their_bits():
     assert np.array_equal(more[:2 * sde._LANE], whole)
 
 
-def test_two_chunks_and_a_partial_one_do_not_depend_on_the_pool():
+def test_two_chunks_and_a_partial_one_do_not_depend_on_the_pool(monkeypatch):
+    # 2 x 16384 + 300 paths, on every core, on one and on two: two tiles of
+    # 16 and 17 lanes, the last of 300 paths, on one or two workers
     cfg = RootSystemConfig(TYPE_B, 2, 1.0, nu=0.0)
-    n_paths = 2 * sde._CHUNK + 300
+    n_paths = 32 * sde._LANE + 300
     plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.1, n_paths=n_paths, seed=6,
                    initial=(0.01, 0.02))
     steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
-    bounds = [(0, sde._CHUNK), (sde._CHUNK, 2 * sde._CHUNK), (2 * sde._CHUNK, n_paths)]
-    serial = [_run_chunk(plan, lo, hi, steps) for lo, hi in bounds]
-    pooled = [_run_chunk(plan, lo, hi, steps, workers=2) for lo, hi in bounds]
-    for (f0, r0, b0, _), (f1, r1, b1, _) in zip(serial, pooled):
-        assert np.array_equal(f0, f1) and r0 == r1 and b0 == b1
+    ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, n_paths, steps)
     finals, stats = simulate_paths(plan, return_stats=True)
-    assert np.array_equal(finals, np.concatenate([f for f, _, _, _ in serial]))
-    assert stats["repairs"] == sum(r for _, r, _, _ in serial)
     assert stats["workers"] == len(os.sched_getaffinity(0))
-    assert stats["tiles"] == 2 * min(2, stats["workers"]) + 1
+    assert stats["tiles"] == len(sde._tiles(n_paths, cfg.n, stats["workers"]))
+    assert np.array_equal(finals, ref)
+    assert stats["repairs"] == ref_repairs
+    assert stats["euler_bias"] == ref_bias.sum() / n_paths
+    for workers in (1, 2):
+        f, st, submitted = _simulate(monkeypatch, plan, workers)
+        assert np.array_equal(f, ref)
+        assert st["repairs"] == ref_repairs and st["euler_bias"] == stats["euler_bias"]
+        assert st["tiles"] == submitted == 2
 
 
 def test_partial_chunk_matches_rows_bit_for_bit():
-    # a full chunk and a partial second one, each lane on its own SFC64
+    # 16 whole lanes and one of 300 paths, each lane on its own SFC64
     # stream; about 13% of the paths are re-sorted each step
     cfg = RootSystemConfig(TYPE_B, 2, 1.0, nu=0.0)
-    n_paths = sde._CHUNK + 300
+    n_paths = 16 * sde._LANE + 300
     plan = SimPlan(cfg=cfg, dt=2e-2, t_final=0.2, n_paths=n_paths, seed=5,
                    initial=(0.01, 0.02))
     finals, stats = simulate_paths(plan, return_stats=True)
     steps = sde._step_schedule(cfg, plan.initial, plan.dt, plan.t_final)
-    full, r0, _ = _run_chunk_rows(plan, 0, sde._CHUNK, steps)
-    part, r1, _ = _run_chunk_rows(plan, sde._CHUNK, n_paths, steps)
-    assert np.array_equal(finals, np.concatenate([full, part]))
-    assert stats["repairs"] == r0 + r1
+    ref, ref_repairs, ref_bias = _run_chunk_rows(plan, 0, n_paths, steps)
+    assert np.array_equal(finals, ref)
+    assert stats["repairs"] == ref_repairs
+    assert stats["euler_bias"] == ref_bias.sum() / n_paths
 
 
 @pytest.mark.parametrize("kind", [TYPE_A, TYPE_B])
@@ -410,6 +462,14 @@ def test_euler_step_moves_and_projects():
     # a noise kick that swaps the order must come back sorted
     out2 = euler_step(CFG_A2, state, 1e-4, np.array([200.0, -200.0]))
     assert out2.positions[0] < out2.positions[1]
+
+
+def test_euler_step_refuses_a_point_off_the_chamber_interior():
+    # a tie would step to [-inf, 2.02, inf] with only a RuntimeWarning
+    cfg = RootSystemConfig(TYPE_A, 3, 2.0)
+    for x in ([1.0, 1.0, 2.0], [2.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="not strictly inside the Weyl chamber"):
+            euler_step(cfg, ParticleState(positions=np.array(x), time=0.0), 0.01, np.zeros(3))
 
 
 def test_n1_type_a_is_brownian_motion():
