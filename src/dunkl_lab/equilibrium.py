@@ -62,14 +62,11 @@ def potential(cfg: RootSystemConfig, v):
     """
     v = np.asarray(v, dtype=float)
     a = chamber_dot(cfg, v)
-    n, t = cfg.n, root_table(cfg)
+    t = root_table(cfg)
     g = t.kappa / a
-    w = g / a
-    grad = v - np.bincount(t.j, g, n) - np.bincount(t.i, t.s * g, n)
-    off = np.bincount(t.j * n + t.i, t.s * w, n * n).reshape(n, n)
-    diag = 1.0 + np.bincount(t.j, w, n) + np.bincount(t.i, t.s**2 * w, n)
-    hess = np.diag(diag) + off + off.T
-    return _value(t, v, a), grad, hess
+    hess = t.outer(g / a)
+    hess.flat[::t.n + 1] += 1.0
+    return _value(t, v, a), v - t.spread(g), hess
 
 
 def _value(t, v, a):
@@ -257,12 +254,9 @@ def fke_residual(cfg: RootSystemConfig, logdensity_fn, v) -> FkeResidual:
     fm = np.array([f(v - d) for d in h * eye])
     grad = (fp - fm) / (2 * h)
     lap = sum((fp + fm - 2 * f0) / h**2)  # in coordinate order, from 0
-    a2 = 1.0 + t.s**2
-    alpha = eye[t.j] + t.s[:, None] * eye[t.i]  # one row per root
-    refl = v - (2 * a / a2)[:, None] * alpha  # row k: v reflected in root k
-    refl_f = np.array([f(r) for r in refl])
+    refl_f = np.array([f(r) for r in t.reflect(v)])
     t1 = -t.kappa * t.dot(grad) / a
-    t2 = t.kappa * a2 / 2.0 * (f0 + refl_f) / a**2
+    t2 = t.kappa * t.norm2 / 2.0 * (f0 + refl_f) / a**2
     terms = [lap / cfg.beta, float(v @ grad), n * f0, *t1, *t2]
     return FkeResidual(value=float(sum(terms)), term_scale=float(max(map(abs, terms))))
 
@@ -279,5 +273,5 @@ def cm_gradient_identity_residual(cfg: RootSystemConfig, v) -> float:
     _, grad, _ = potential(cfg, v)
     t = root_table(cfg)
     rhs = float(v @ v) - 2.0 * gamma(cfg)
-    rhs += float(np.sum((1.0 + t.s**2) * t.kappa**2 / t.dot(v) ** 2))
+    rhs += float(np.sum(t.norm2 * t.kappa**2 / t.dot(v) ** 2))
     return abs(float(grad @ grad) - rhs)

@@ -8,8 +8,8 @@ log-gas potentials, series kernels — is parameterized by the config
 defined here.
 
 `root_table` lists the positive roots with their multiplicities as index
-arrays, so a sum over roots is a gather and a `np.bincount` or a sum over
-the root axis; no dense root matrix is built.  Type B's pair factor
+arrays, so a sum over roots is `RootTable.dot` or one of its transposes
+(`spread`, `outer`); no dense root matrix is built.  Type B's pair factor
 log|x_j^2 - x_i^2| is the sum of two roots, e_j - e_i and e_j + e_i.
 The chamber is {x : alpha . x > 0 for every positive root alpha}: the
 chamber test, the chamber gate `chamber_dot` and the log weight read alpha . x
@@ -83,28 +83,51 @@ def span_complement(cfg: RootSystemConfig) -> np.ndarray:
 
 def gamma(cfg: RootSystemConfig) -> float:
     """Sum of the multiplicity function over the positive roots."""
-    n = cfg.n
-    if cfg.kind == TYPE_A:
-        return n * (n - 1) / 2.0
-    return n * (n + cfg.nu - 0.5)
+    return float(root_table(cfg).kappa.sum())
 
 
 @dataclass(frozen=True, eq=False)
 class RootTable:
-    """Positive roots alpha = e_j + s e_i as read-only index arrays, with
-    multiplicities kappa: pair roots have j > i and s = -1, or s = +1 (type
-    B); type B's coordinate roots e_j have s = 0 and i = j.  So every row
-    has alpha . v = v[j] + s v[i] and |alpha|^2 = 1 + s^2."""
+    """Positive roots alpha = e_j + s e_i of R^n as read-only index arrays,
+    with multiplicities kappa and |alpha|^2 = 1 + s^2 (norm2): pair roots have
+    j > i and s = -1, or s = +1 (type B); type B's coordinate roots e_j have
+    s = 0 and i = j.  Each alpha_p is 0 or +-1, so |alpha_p| = alpha_p^2.
+    ji = j n + i is the flat position of entry (j, i) of an n x n matrix."""
 
+    n: int
     i: np.ndarray
     j: np.ndarray
     s: np.ndarray
     kappa: np.ndarray
+    norm2: np.ndarray
+    ji: np.ndarray
 
     def dot(self, v):
         """alpha . v for every root, shape (n_roots, ...) for v of shape
         (N, ...): one point, or a particle-first batch gathered by rows."""
         return v[self.j] + self.s.reshape((-1,) + (1,) * (v.ndim - 1)) * v[self.i]
+
+    def spread(self, c, unsigned=False):
+        """dot's transpose: sum_alpha c_alpha alpha (|alpha| if unsigned), shape (N,)."""
+        si = self.s**2 if unsigned else self.s
+        return np.add(np.bincount(self.j, c, self.n), np.bincount(self.i, si * c, self.n),
+                      dtype=float)  # bincount over no roots (type A, N = 1) counts in ints
+
+    def outer(self, c):
+        """sum_alpha c_alpha alpha alpha^T, shape (N, N)."""
+        n, diag = self.n, self.spread(c, unsigned=True)  # first: lower peak memory
+        off = np.bincount(self.ji, self.s * c, n * n).reshape(n, n)  # 0 on i = j
+        out = np.add(off, off.T, dtype=float)
+        out.flat[::n + 1] = diag
+        return out
+
+    def reflect(self, v):
+        """v - 2 (alpha . v) / |alpha|^2 alpha for every root, shape (n_roots, N)."""
+        c = 2 * self.dot(v) / self.norm2
+        step, rows = np.zeros((len(c), self.n)), np.arange(len(c))
+        step[rows, self.j] = c
+        step[rows, self.i] += self.s * c  # 0 on a coordinate root, where i = j
+        return v - step
 
 
 def root_table(cfg: RootSystemConfig) -> RootTable:
@@ -122,9 +145,10 @@ def _root_table(kind, n, nu):
         i, j = np.concatenate([np.repeat(i, 2), k]), np.concatenate([np.repeat(j, 2), k])
         s = np.concatenate([np.tile([-1.0, 1.0], len(s)), np.zeros(n)])
         kappa = np.concatenate([np.ones(2 * len(kappa)), np.full(n, nu + 0.5)])
-    for a in (i, j, s, kappa):
+    norm2, ji = 1.0 + s**2, j * n + i
+    for a in (i, j, s, kappa, norm2, ji):
         a.flags.writeable = False
-    return RootTable(i, j, s, kappa)
+    return RootTable(n, i, j, s, kappa, norm2, ji)
 
 
 def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:

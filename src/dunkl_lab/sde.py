@@ -69,8 +69,8 @@ class SimPlan:
     initial: tuple
 
     def __post_init__(self):
-        if not 0 < self.dt <= self.t_final:
-            raise ValueError("need 0 < dt <= t_final")
+        if not 0 < self.dt <= self.t_final < math.inf:
+            raise ValueError("need 0 < dt <= t_final < inf")
         if self.n_paths < 1:
             raise ValueError("n_paths >= 1 required")
         x0 = np.asarray(self.initial, dtype=float)
@@ -210,8 +210,11 @@ class _Batch:
 def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) -> ParticleState:
     """One Euler–Maruyama step from an interior point, then the chamber projection."""
     chamber_dot(cfg, state.positions)
+    noise = _point(cfg, noise)
+    if not np.all(np.isfinite(noise)):
+        raise ValueError("noise must be finite")
     x = np.array(state.positions, dtype=float).reshape(-1, 1)
-    _Batch(cfg, x).step(dt, _point(cfg, noise).reshape(1, -1).copy())
+    _Batch(cfg, x).step(dt, noise.reshape(1, -1).copy())
     return ParticleState(positions=x[:, 0], time=state.time + dt)
 
 
@@ -219,16 +222,14 @@ def _stiffness(cfg, y):
     """Gershgorin bound on the largest eigenvalue of minus the drift Jacobian.
 
     The Jacobian is -(beta/2) sum_alpha kappa_alpha alpha alpha^T / (alpha . y)^2
-    over the root table; bounding row p by its absolute sum gives
-    (beta/2) max_p sum_alpha kappa_alpha |alpha_p| |alpha|_1 / (alpha . y)^2.
-    The bound is zero when there are no roots (type A, N = 1).
+    over the root table; bounding row p by its absolute sum gives (beta/2)
+    max_p sum_alpha kappa_alpha |alpha_p| |alpha|_1 / (alpha . y)^2, where
+    |alpha|_1 = |alpha|^2.  It is zero with no roots (type A, N = 1).
     """
     t = root_table(cfg)
-    abs_s = np.abs(t.s)  # |alpha_i|; |alpha_j| = 1 and |alpha|_1 = 1 + |s|
     with np.errstate(over="ignore", divide="ignore"):  # inf is reported by the caller
-        w = t.kappa * (1.0 + abs_s) / t.dot(y) ** 2
-    rows = np.bincount(t.j, w, cfg.n) + np.bincount(t.i, abs_s * w, cfg.n)
-    return cfg.beta / 2.0 * float(rows.max())
+        w = t.kappa * t.norm2 / t.dot(y) ** 2
+    return cfg.beta / 2.0 * float(t.spread(w, unsigned=True).max())
 
 
 def _step_schedule(cfg, x0, dt, t_final):
@@ -371,7 +372,8 @@ def scaled_histogram(finals, scale_factor: float, lo: float, hi: float,
     """Bin every particle coordinate of every path after dividing by the scale.
 
     Out-of-range coordinates land in the underflow/overflow counters, so
-    sum(counts)/(n_paths*bin_width) integrates to N up to that loss.
+    sum(counts)/(n_paths*bin_width) integrates to N up to that loss; a NaN
+    or infinite coordinate raises ValueError.
     """
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
@@ -381,15 +383,16 @@ def scaled_histogram(finals, scale_factor: float, lo: float, hi: float,
     if not 0 < scale_factor < math.inf:  # else inf/NaN would count as underflow
         raise ValueError(f"scale factor must be finite and > 0, got {scale_factor}")
     finals = np.asarray(finals, dtype=float)
+    bad = finals.size - int(np.count_nonzero(np.isfinite(finals)))
+    if bad:  # a NaN has no bin, and an infinite final is no result to bin
+        raise ValueError(f"{bad} of {finals.size} coordinates are not finite")
     v = finals.ravel() / scale_factor
     hi = lo + n_bins * bin_width  # snap to a whole number of bins
-    idx = np.floor((v - lo) / bin_width).astype(int)
-    under = int(np.sum(idx < 0))
-    over = int(np.sum(idx >= n_bins))
-    idx = idx[(idx >= 0) & (idx < n_bins)]
-    counts = np.bincount(idx, minlength=n_bins)
+    pos = np.floor((v - lo) / bin_width)
+    np.clip(pos, -1, n_bins, out=pos)  # before the int cast, where a far coordinate would wrap
+    counts = np.bincount(pos.astype(int) + 1, minlength=n_bins + 2)  # underflow, bins, overflow
     return DensityHistogram(
-        lo=lo, hi=hi, bin_width=bin_width, counts=counts,
+        lo=lo, hi=hi, bin_width=bin_width, counts=counts[1:-1],
         total_particles=v.size, scale_factor=scale_factor,
-        underflow=under, overflow=over,
+        underflow=int(counts[0]), overflow=int(counts[-1]),
     )

@@ -142,9 +142,10 @@ def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
     (["simulate", "--type", "A", "--n", "2", "--t", "0.1", "--paths", "0"], ["--paths"]),
     (["simulate", "--type", "A", "--n", "2", "--t", "-1"], ["--dt", "--t"]),
     (["simulate", "--type", "A", "--n", "2", "--init", "0,0", "--t", "0.1"], ["--init"]),
+    (["simulate", "--type", "A", "--n", "2", "--t", "inf", "--scale", "none"], ["--t"]),
 ], ids=["negative_nu", "zero_n", "init_length", "type_b_beta_below_1", "init_not_a_number",
         "lambda_not_an_integer", "lambda_negative_part", "lambda_increasing", "dt_above_t",
-        "zero_paths", "negative_t", "tied_init"])
+        "zero_paths", "negative_t", "tied_init", "infinite_t"])
 def test_rejected_config_is_usage_error(argv, options, tmp_path, capsys):
     # arguments the config or the plan refuses are usage errors, not
     # numeric failures, nothing is written, and the message names the
@@ -191,12 +192,20 @@ def test_simulate_zero_scale_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_simulate_numeric_failure_exit_3(tmp_path, capsys):
+def test_simulate_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     # a valid start whose gap of 1e-170 overflows the drift's stiffness bound
     rc = main(["simulate", "--type", "A", "--n", "2", "--t", "0.1",
                "--init", "0,1e-170", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "stiffness overflows" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    # a run whose finals are not all finite is not binned
+    monkeypatch.setattr(sde, "simulate_paths",
+                        lambda plan, return_stats: (np.array([[0.0, math.nan]]), {}))
+    rc = main(["simulate", "--type", "A", "--n", "2", "--t", "0.1", "--paths", "1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "1 of 2 coordinates are not finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -45,13 +45,14 @@ def test_rank_and_gamma():
     assert rank(RootSystemConfig(TYPE_B, 5, 2.0, nu=1.0)) == 5
     assert gamma(RootSystemConfig(TYPE_A, 4, 3.0)) == 6.0
     assert gamma(RootSystemConfig(TYPE_B, 4, 3.0, nu=0.5)) == 4 * 4.0
+    assert gamma(RootSystemConfig(TYPE_B, 3, 3.0, nu=0.3)) == 8.4  # 6 + 3 (0.3 + 0.5)
 
 
 @pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 0.5), (TYPE_B, 2.5)])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gamma_equals_multiplicity_sum(kind, nu, n):
     cfg = RootSystemConfig(kind, n, 1.7, nu=nu)
-    roots, kappas = _dense_roots(cfg)
+    roots, kappas = _positive_roots_by_loop(cfg)
     assert roots.shape == (len(kappas), n)
     assert abs(gamma(cfg) - float(np.sum(kappas))) < 1e-12
 
@@ -138,6 +139,32 @@ def test_root_table_is_cached_and_read_only():
         cols = np.stack([[t.dot(pts[:, p, q]) for q in range(3)] for p in range(6)])
     assert batch.shape == (len(t.kappa), 6, 3)
     assert np.moveaxis(cols, -1, 0).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 1.5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_transposes_of_dot_match_the_dense_roots(kind, nu, n):
+    # integer weights keep every sum exact, so each map is compared with the
+    # dense root rows bit for bit; type A at N = 1 has no roots
+    cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
+    t = root_table(cfg)
+    roots, _ = _positive_roots_by_loop(cfg)
+    norm2 = (roots**2).sum(axis=1)
+    rng = np.random.default_rng(n)
+    c = rng.integers(-5, 6, size=len(roots)).astype(float)
+    v = rng.normal(size=n)
+    for got, want in ((t.spread(c), roots.T @ c),
+                      (t.spread(c, unsigned=True), np.abs(roots).T @ c),
+                      (t.outer(c), roots.T @ (c[:, None] * roots)),
+                      (t.norm2, norm2),
+                      (t.reflect(v), v - (2 * (roots @ v) / norm2)[:, None] * roots)):
+        assert got.dtype == float and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert t.n == n and not (t.norm2.flags.writeable or t.ji.flags.writeable)
+    if not len(roots):  # np.bincount over no weights counts in integers
+        _, grad, hess = equilibrium.potential(cfg, [0.3])
+        assert hess.dtype == float and np.array_equal(hess, [[1.0]])
+        assert np.array_equal(grad, [0.3])
 
 
 def test_log_weight_hand_values():

@@ -420,6 +420,9 @@ def test_step_schedule_matches_dense_reference(cfg, x0, dt, t):
 def test_plan_validation():
     with pytest.raises(ValueError):
         SimPlan(cfg=CFG_A2, dt=0.0, t_final=1.0, n_paths=10, seed=0, initial=(0.0, 1.0))
+    for t_final in (math.inf, math.nan):  # inf would fail later, in the step count
+        with pytest.raises(ValueError, match="t_final < inf"):
+            SimPlan(cfg=CFG_A2, dt=0.1, t_final=t_final, n_paths=10, seed=0, initial=(0.0, 1.0))
     with pytest.raises(ValueError):
         SimPlan(cfg=CFG_A2, dt=0.1, t_final=1.0, n_paths=0, seed=0, initial=(0.0, 1.0))
     with pytest.raises(ValueError):
@@ -470,6 +473,14 @@ def test_euler_step_refuses_a_point_off_the_chamber_interior():
     for x in ([1.0, 1.0, 2.0], [2.0, 1.0, 0.0]):
         with pytest.raises(ValueError, match="not strictly inside the Weyl chamber"):
             euler_step(cfg, ParticleState(positions=np.array(x), time=0.0), 0.01, np.zeros(3))
+
+
+def test_euler_step_refuses_non_finite_noise():
+    # a NaN or infinite kick would land in the state without a word
+    state = ParticleState(positions=np.array([0.0, 1.0]), time=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise must be finite"):
+            euler_step(CFG_A2, state, 0.01, np.array([bad, 0.0]))
 
 
 def test_n1_type_a_is_brownian_motion():
@@ -609,3 +620,9 @@ def test_scaled_histogram_bookkeeping():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="scale factor"):
             scaled_histogram(finals, bad, 0.0, 0.3, 0.1)
+    # a coordinate beyond the int64 range of bins is still out of range
+    h = scaled_histogram([[1e20, -1e20, 0.05]], 1.0, 0.0, 0.3, 0.1)
+    assert (h.underflow, h.overflow, list(h.counts)) == (1, 1, [1, 0, 0])
+    # a NaN has no bin, and an infinite final is no result: both are refused
+    with pytest.raises(ValueError, match="2 of 4 coordinates are not finite"):
+        scaled_histogram([[math.nan, 1.0], [0.5, math.inf]], 1.0, 0.0, 0.3, 0.1)
