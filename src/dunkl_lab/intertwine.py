@@ -88,7 +88,8 @@ def _tau_weight(tau, alpha, n, b):
 
 def _image_prefactor(cfg, lam):
     """lam! M(lam,N) for type A; (2 lam)! M(lam,N) / 2^{2|lam|} for type B,
-    whose image lives in squared variables."""
+    whose image lives in squared variables.  lam must be a partition."""
+    lam = symfunc._check_partition(lam)
     if cfg.kind == TYPE_A:
         return _fact_partition(lam) * multinomial_m(lam, cfg.n)
     return _fact_partition(tuple(2 * p for p in lam)) * multinomial_m(lam, cfg.n) / 4.0 ** sum(lam)
@@ -188,7 +189,8 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
     tau sum is collapsed to monomial coefficients in y (one per x point).
     The y side walks the points in blocks: one table of the powers y^0..y^D
     per block (at most _SERIES_BLOCK_ENTRIES entries, in one reused buffer)
-    serves every m_mu(y), and the block's shells reduce to its sum and top.
+    serves every m_mu(y).  Each point keeps two running sums, the current
+    shell and the total in degree order: the same bits alone and in a batch.
     A last axis of x or of ybatch other than n_vars raises ValueError.
     """
     alpha, n, b, top = params.alpha, params.n_vars, params.b, params.max_degree
@@ -214,22 +216,19 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
         coeffs.append(mu_coeffs)
     ys = ybatch.reshape(-1, n)
     m = len(ys)
-    out = np.empty((2,) + x.shape[:-1] + (m,))
+    out = np.zeros((2,) + x.shape[:-1] + (m,))
     rows = max(1, _SERIES_BLOCK_ENTRIES // ((top + 1) * n))
     buf = np.empty((top + 1) * n * min(rows, m))
-    shells = np.empty((top + 1,) + x.shape[:-1] + (min(rows, m),))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         table = buf[:(top + 1) * n * (hi - lo)].reshape(top + 1, n, hi - lo)
         powers = symfunc._powers(ys[lo:hi], top, table)
-        shells.fill(0.0)
-        for d, mu_coeffs in enumerate(coeffs):
+        acc, shell = out[..., lo:hi]
+        for mu_coeffs in coeffs:
+            shell.fill(0.0)
             for mu, c in mu_coeffs.items():
-                shells[d, ..., :hi - lo] += np.multiply.outer(
-                    c, symfunc._monomial_from_powers(mu, powers))
-        # full width: numpy would add a one-point block's degrees pairwise, not in order
-        out[0, ..., lo:hi] = shells.sum(axis=0)[..., :hi - lo]
-        out[1, ..., lo:hi] = shells[-1, ..., :hi - lo]
+                shell += np.multiply.outer(c, symfunc._monomial_from_powers(mu, powers))
+            acc += shell
     return tuple(out.reshape((2,) + x.shape[:-1] + ybatch.shape[:-1]))
 
 
@@ -319,9 +318,12 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
 
     log w(y/sqrt t) - (|y|^2+|x|^2)/2t - log c_beta - (N/2) log t
         + log( symmetrized kernel at (x, y/t) ).
+
+    A t outside (0, inf) raises ValueError; a truncated series that does not
+    sum to a positive value has no logarithm and raises ArithmeticError.
     """
-    if t <= 0:
-        raise ValueError("t > 0 required")
+    if not 0 < t < math.inf:
+        raise ValueError(f"need 0 < t < inf, got t = {t}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pref, total, last = _kernel_shells(cfg, x, y / t, max_degree)
@@ -329,6 +331,9 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
     kern = pref * total
     # truncation diagnostic: relative size of the top degree shell
     ratio = abs(float(last)) / max(abs(total), np.finfo(float).tiny)
+    if not kern > 0:
+        raise ArithmeticError(f"the kernel series truncated at max_degree = {max_degree} sums "
+                              f"to {total}, not a positive value (last-shell ratio {ratio:.3g})")
     value = (
         log_weight(cfg, y / math.sqrt(t))
         - (float(y @ y) + float(x @ x)) / (2 * t)
@@ -409,7 +414,7 @@ def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
     xs = sample_gaussian_weight(cfg, n_samples, seed)
     pref, total, _ = _kernel_shells(cfg, np.stack([y, z]), xs, max_degree)
     k_y, k_z = np.multiply(pref, total, out=total)
-    vals = k_y * k_z
+    vals = np.multiply(k_y, k_z, out=k_y)
     lhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     rhs = (

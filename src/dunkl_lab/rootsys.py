@@ -39,8 +39,8 @@ class RootSystemConfig:
 
     kind  -- TYPE_A or TYPE_B
     n     -- particle count N >= 1
-    beta  -- inverse temperature (> 0 for A, >= 1 for B)
-    nu    -- Bessel index (type B only, >= 0)
+    beta  -- inverse temperature (0 < beta < inf for A, 1 <= beta < inf for B)
+    nu    -- Bessel index (type B only, 0 <= nu < inf)
     """
 
     kind: str
@@ -54,17 +54,17 @@ class RootSystemConfig:
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.kind == TYPE_A:
-            if not self.beta > 0:
-                raise ValueError("type A requires beta > 0")
+            if not 0 < self.beta < math.inf:
+                raise ValueError("type A requires 0 < beta < inf")
             if self.nu is not None:
                 raise ValueError("nu is a type-B parameter")
         else:
-            if not self.beta >= 1:
+            if not 1 <= self.beta < math.inf:
                 # the SDE below beta = 1 picks up boundary local time and is
                 # outside what the integrator can honestly simulate
-                raise ValueError("type B requires beta >= 1")
-            if self.nu is None or self.nu < 0:
-                raise ValueError("type B requires nu >= 0")
+                raise ValueError("type B requires 1 <= beta < inf")
+            if self.nu is None or not 0 <= self.nu < math.inf:
+                raise ValueError("type B requires 0 <= nu < inf")
 
 
 def rank(cfg: RootSystemConfig) -> int:
@@ -241,7 +241,7 @@ def weyl_order(cfg: RootSystemConfig) -> int:
 def weyl_orbit(cfg: RootSystemConfig, s) -> np.ndarray:
     """All images of s under the reflection group: permutations (A) or
     signed permutations (B).  Capped at small N (factorial growth)."""
-    s = np.asarray(s, dtype=float)
+    s = _point(cfg, s)
     if cfg.n > _WEYL_CAP[cfg.kind]:
         raise ValueError("Weyl orbit enumeration capped at small N")
     perms = np.array(list(itertools.permutations(s)))

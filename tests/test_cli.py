@@ -143,9 +143,11 @@ def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
     (["simulate", "--type", "A", "--n", "2", "--t", "-1"], ["--dt", "--t"]),
     (["simulate", "--type", "A", "--n", "2", "--init", "0,0", "--t", "0.1"], ["--init"]),
     (["simulate", "--type", "A", "--n", "2", "--t", "inf", "--scale", "none"], ["--t"]),
+    (["intertwine", "--type", "B", "--n", "2", "--nu", "nan", "--lambda", "1"], ["--nu"]),
+    (["simulate", "--type", "A", "--n", "2", "--beta", "inf", "--t", "0.01"], ["--beta"]),
 ], ids=["negative_nu", "zero_n", "init_length", "type_b_beta_below_1", "init_not_a_number",
         "lambda_not_an_integer", "lambda_negative_part", "lambda_increasing", "dt_above_t",
-        "zero_paths", "negative_t", "tied_init", "infinite_t"])
+        "zero_paths", "negative_t", "tied_init", "infinite_t", "nu_nan", "beta_inf"])
 def test_rejected_config_is_usage_error(argv, options, tmp_path, capsys):
     # arguments the config or the plan refuses are usage errors, not
     # numeric failures, nothing is written, and the message names the

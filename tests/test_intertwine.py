@@ -147,6 +147,13 @@ def test_nu_limit_refuses_type_a():
         v_limit_nu(RootSystemConfig(TYPE_A, 2, 2.0), (1,))
 
 
+@pytest.mark.parametrize("operator", [v_on_monomial, v_limit_beta, v_limit_nu])
+def test_image_operators_refuse_a_non_partition(operator):
+    # the partition check comes before the factorials of the prefactor
+    with pytest.raises(ValueError, match="parts must be positive"):
+        operator(RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5), (2, -1))
+
+
 def test_type_a_closed_form_degree_two():
     # image of m_(2) at any N: [(beta+2) m_(2) + 2 beta m_(11)] / (beta N + 2)
     for n, beta in ((3, 2.0), (4, 1.0), (5, 7.5)):
@@ -403,6 +410,24 @@ def test_transition_density_n1_type_a_gaussian():
         assert ld.value == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_transition_density_refuses_a_time_outside_zero_to_inf(t):
+    cfg = RootSystemConfig(TYPE_A, 2, 2.0)
+    with pytest.raises(ValueError, match="need 0 < t < inf"):
+        radial_transition_logdensity(cfg, t, np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("n, x, y, degree", [
+    (2, [-4.0, -3.0], [1.0, 2.0], 5), (2, [-4.0, -3.0], [1.0, 2.0], 29),
+    (1, [-3.0], [1.0], 29)])
+def test_transition_density_without_a_positive_series_sum_says_so(n, x, y, degree):
+    # far apart in a short time the truncated series alternates to a
+    # negative sum, which has no logarithm
+    cfg = RootSystemConfig(TYPE_A, n, 2.0)
+    with pytest.raises(ArithmeticError, match=rf"max_degree = {degree} .*last-shell ratio"):
+        radial_transition_logdensity(cfg, 0.05, np.array(y), np.array(x), max_degree=degree)
+
+
 def test_transition_density_n1_type_b_mass():
     cfg = RootSystemConfig(TYPE_B, 1, 2.0, nu=0.5)
     f = lambda y: math.exp(radial_transition_logdensity(  # noqa: E731
@@ -575,8 +600,27 @@ def test_blocked_y_side_matches_one_call_per_monomial(degree, b, x_shape):
         total, last = intertwine._series_shells(params, x, y)
         shells = _series_shells_by_monomial(params, x, y)
         assert total.shape == last.shape == x_shape[:-1] + y_shape[:-1]
-        assert np.array_equal(total, shells.sum(axis=0)), y_shape
+        # the series adds its shells in degree order, for every shape
+        assert np.array_equal(total, np.add.accumulate(shells, axis=0)[-1]), y_shape
         assert np.array_equal(last, shells[-1]), y_shape
+
+
+@pytest.mark.parametrize("cfg", [RootSystemConfig(TYPE_A, 3, 2.0),
+                                 RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5)], ids=["A3", "B3"])
+@pytest.mark.parametrize("degree", [18, 30])
+def test_a_point_gets_the_same_series_bits_alone_and_in_a_batch(cfg, degree):
+    # the shells are summed in degree order for a lone point as for a wide block
+    rng = np.random.default_rng(degree)
+    x = np.sort(rng.uniform(0.1, 0.8, 3))
+    ys = rng.uniform(-0.8, 0.8, size=(50, 3))
+    batch = bessel_kernel(cfg, x, ys, max_degree=degree)
+    alone = np.array([bessel_kernel(cfg, x, y, max_degree=degree) for y in ys])
+    assert np.array_equal(alone, batch)
+    params = HyperSeriesParams(alpha=2.0 / cfg.beta, n_vars=3, max_degree=degree,
+                               b=intertwine._lower_param(cfg))
+    total, last = intertwine._series_shells(params, x, ys)
+    alone = np.array([hyper_series(params, x, y) for y in ys])
+    assert np.array_equal(alone, np.stack([total, abs(last)], axis=1))
 
 
 def test_y_power_tables_stay_within_the_block_budget(monkeypatch):

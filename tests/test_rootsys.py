@@ -22,6 +22,7 @@ from dunkl_lab.rootsys import (
     rank,
     root_table,
     span_complement,
+    weyl_orbit,
 )
 
 
@@ -38,6 +39,15 @@ def test_config_validation():
         RootSystemConfig(TYPE_B, 3, 2.0)  # nu required
     with pytest.raises(ValueError):
         RootSystemConfig(TYPE_B, 3, 2.0, nu=-0.1)
+    # beta and nu must be finite: NaN fails every comparison, inf only the bound
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="type A requires 0 < beta < inf"):
+            RootSystemConfig(TYPE_A, 3, beta)
+        with pytest.raises(ValueError, match="type B requires 1 <= beta < inf"):
+            RootSystemConfig(TYPE_B, 3, beta, nu=1.0)
+    for nu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="type B requires 0 <= nu < inf"):
+            RootSystemConfig(TYPE_B, 3, 2.0, nu=nu)
 
 
 def test_rank_and_gamma():
@@ -309,8 +319,9 @@ _X3 = [-1.0, 0.0, 1.0]
     lambda v: sde.euler_step(_CFG_A3, sde.ParticleState(_X3, 0.0), 0.01, v),
     lambda v: intertwine.frozen_kernel(_CFG_A3, v, _X3),
     lambda v: intertwine.frozen_kernel(_CFG_A3, _X3, v),
+    lambda v: weyl_orbit(_CFG_A3, v),
 ], ids=["steady_state_logdensity", "gaussian_steady_approx", "euler_step_positions",
-        "euler_step_noise", "frozen_kernel_x", "frozen_kernel_y"])
+        "euler_step_noise", "frozen_kernel_x", "frozen_kernel_y", "weyl_orbit"])
 @pytest.mark.parametrize("v", [[-1.0, 0.0, 1.0, 5.0], [-1.0, 1.0]], ids=["longer", "shorter"])
 def test_a_point_of_the_wrong_length_is_refused(call, v):
     with pytest.raises(ValueError, match="wrong length"):
