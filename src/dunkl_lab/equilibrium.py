@@ -22,7 +22,7 @@ the same alpha . v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,21 +75,9 @@ def _value(t, v, a):
         return 0.5 * float(v @ v) - float(t.kappa @ np.log(np.abs(a)))
 
 
-def _initial_guess(cfg):
-    n = cfg.n
-    g = gamma(cfg)
-    if cfg.kind == TYPE_A:
-        if n == 1:
-            return np.zeros(1)
-        v = np.linspace(-1.0, 1.0, n)
-        return v * math.sqrt(g / float(v @ v))
-    # type B: square roots of equispaced points on (0, 2 sqrt(gamma)]
-    pts = 2.0 * math.sqrt(g) * np.arange(1, n + 1) / n
-    return np.sqrt(pts)
-
-
 def peak_set(cfg: RootSystemConfig) -> PotentialReport:
-    """Damped-Newton minimization of the potential from a chamber-interior start.
+    """Damped-Newton minimization of the potential from the Weyl vector
+    sum kappa alpha (2 rho), scaled to |v|^2 = gamma as the minimizer is.
 
     Stops when the Newton decrement g^T H^-1 g falls to (64 eps)^2 times
     the size of F's terms, |v|^2/2 + sum kappa |log alpha.v|, or, once
@@ -99,7 +87,9 @@ def peak_set(cfg: RootSystemConfig) -> PotentialReport:
     | |v*|^2 - gamma | as residuals, and the final decrement.
     """
     t = root_table(cfg)
-    v = _initial_guess(cfg)
+    w = t.spread(t.kappa)  # 2 rho: alpha . w > 0 for every positive root
+    ww = float(w @ w)
+    v = w * math.sqrt(gamma(cfg) / ww) if ww else w  # |v|^2 = gamma; 0 at A1
     a = t.dot(v)  # alpha . v at the current point, carried from its line search
     tol = 64 * np.finfo(float).eps
     evals = 0
@@ -180,8 +170,9 @@ _PEAK_CACHE: dict = {}
 
 def _cached_peak(cfg):
     """The peak set s of cfg, the potential's Hessian H at s and log det H,
-    computed once per (kind, n, nu): none of them depends on beta."""
-    key = (cfg.kind, cfg.n, cfg.nu)
+    computed once for all configs that differ only in beta: none of them
+    depends on beta."""
+    key = replace(cfg, beta=1.0)
     if key not in _PEAK_CACHE:
         rep = peak_set(cfg)
         s, hess = rep.minimizer, rep.hessian

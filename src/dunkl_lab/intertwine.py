@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -53,10 +54,14 @@ class HyperSeriesParams:
     b: float | None = None  # lower parameter; None selects the 0F0 series
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha > 0 required")
-        if self.max_degree < 0:
-            raise ValueError("max_degree >= 0 required")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("0 < alpha < inf required")
+        if self.b is not None and not math.isfinite(self.b):
+            raise ValueError("a finite b required")
+        if not isinstance(self.n_vars, Integral) or self.n_vars < 1:
+            raise ValueError("n_vars must be an integer >= 1")
+        if not isinstance(self.max_degree, Integral) or self.max_degree < 0:
+            raise ValueError("max_degree must be an integer >= 0")
 
 
 def _fact_partition(lam):
@@ -405,10 +410,11 @@ def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
             = |W| e^{(|y|^2+|z|^2)/2} K(y, z).
 
     K(., y) and K(., z) come from one series pass over all samples.
-    Returns (lhs_estimate, rhs_value, std_error); n_samples < 2 raises.
+    Returns (lhs_estimate, rhs_value, std_error); n_samples must be an integer >= 2.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples = {n_samples}: the standard error needs at least 2 samples")
+    if not isinstance(n_samples, Integral) or n_samples < 2:
+        raise ValueError(f"n_samples = {n_samples}: the standard error needs an integer count "
+                         "of at least 2 samples")
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     xs = sample_gaussian_weight(cfg, n_samples, seed)

@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class RootSystemConfig:
     def __post_init__(self):
         if self.kind not in (TYPE_A, TYPE_B):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n < 1:
+        if not isinstance(self.n, Integral) or self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.kind == TYPE_A:
             if not 0 < self.beta < math.inf:

@@ -42,6 +42,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -71,8 +72,8 @@ class SimPlan:
     def __post_init__(self):
         if not 0 < self.dt <= self.t_final < math.inf:
             raise ValueError("need 0 < dt <= t_final < inf")
-        if self.n_paths < 1:
-            raise ValueError("n_paths >= 1 required")
+        if not isinstance(self.n_paths, Integral) or self.n_paths < 1:
+            raise ValueError("n_paths must be an integer >= 1")
         x0 = np.asarray(self.initial, dtype=float)
         if x0.shape != (self.cfg.n,):
             raise ValueError(f"initial has {x0.size} values, n is {self.cfg.n}")

@@ -22,6 +22,7 @@ from dunkl_lab.rootsys import (
     TYPE_A,
     TYPE_B,
     RootSystemConfig,
+    chamber_dot,
     freezing_constant,
     gamma,
     in_weyl_chamber,
@@ -197,6 +198,39 @@ def test_peak_set_type_b_is_sqrt_laguerre_zero_set(n, nu):
     assert np.max(np.abs(rep.minimizer - oracle)) < 1e-9
     assert rep.identity_residuals["potential_minus_constant"] < 1e-9
     assert rep.identity_residuals["sq_norm_minus_gamma"] < 1e-9
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.5, 1e4])
+def test_peak_set_b1_converges_in_one_newton_iteration(nu):
+    # the start sqrt(nu + 1/2) is the minimizer of v^2/2 - (nu + 1/2) log v
+    rep = peak_set(RootSystemConfig(TYPE_B, 1, 2.0, nu=nu))
+    assert rep.newton_iterations == 1
+    assert abs(rep.minimizer[0] - math.sqrt(nu + 0.5)) <= 4e-16 * math.sqrt(nu + 0.5)
+
+
+@pytest.mark.parametrize("kind,n,nu", [
+    (TYPE_A, 1, None), (TYPE_A, 2, None), (TYPE_A, 7, None), (TYPE_B, 1, 0.0),
+    (TYPE_B, 1, 1e4), (TYPE_B, 7, 0.0), (TYPE_B, 7, 1e4)])
+def test_newton_starts_at_the_scaled_weyl_vector(kind, n, nu, monkeypatch):
+    # the first point Newton evaluates is sum kappa alpha (2 rho) scaled to
+    # |v|^2 = gamma, strictly inside the chamber; type A at N = 1 has no
+    # roots and starts at its minimizer, 0
+    cfg = RootSystemConfig(kind, n, 2.0, nu=nu)
+    points = []
+    monkeypatch.setattr(equilibrium, "potential",
+                        lambda c, v: points.append(np.array(v)) or potential(c, v))
+    peak_set(cfg)
+    v0, g = points[0], gamma(cfg)
+    if g == 0.0:
+        assert np.array_equal(v0, np.zeros(1))
+        return
+    assert np.all(chamber_dot(cfg, v0) > 0)
+    assert abs(float(v0 @ v0) - g) <= 1e-14 * g
+    w = np.zeros(n)  # sum kappa alpha over the roots listed by hand
+    for coef, kap in _roots_by_hand(cfg):
+        for p, c in coef.items():
+            w[p] += kap * c
+    assert np.allclose(v0 * np.linalg.norm(w), w * math.sqrt(g), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("kind,n,nu", [

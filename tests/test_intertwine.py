@@ -685,6 +685,24 @@ def test_hyper_series_takes_one_point_each(x, y):
         hyper_series(HyperSeriesParams(alpha=1.0, n_vars=2), x, y)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", math.nan, "0 < alpha < inf"), ("alpha", math.inf, "0 < alpha < inf"),
+    ("alpha", 0.0, "0 < alpha < inf"), ("b", math.nan, "finite b"), ("b", math.inf, "finite b"),
+    ("n_vars", 2.5, "n_vars must be an integer >= 1"), ("n_vars", 0, "n_vars must be an integer"),
+    ("max_degree", 2.5, "max_degree must be an integer >= 0"),
+    ("max_degree", -1, "max_degree must be an integer"),
+], ids=["alpha_nan", "alpha_inf", "alpha_0", "b_nan", "b_inf", "n_vars_2.5", "n_vars_0",
+        "max_degree_2.5", "max_degree_-1"])
+def test_hyper_series_params_refuse_what_the_series_cannot_sum(field, value, message):
+    # a NaN alpha or b used to give (nan, nan), alpha = inf a Pochhammer pole,
+    # and max_degree = 2.5 a bare TypeError inside the partition loop
+    args = dict(alpha=1.0, n_vars=2, max_degree=4, b=None) | {field: value}
+    with pytest.raises(ValueError, match=message):
+        HyperSeriesParams(**args)
+    params = HyperSeriesParams(alpha=1.0, n_vars=np.int64(2), max_degree=np.int32(4), b=1.5)
+    assert np.all(np.isfinite(hyper_series(params, [0.1, 0.2], [0.3, 0.4])))
+
+
 def test_kernel_reproducing_small_sample():
     cfg = RootSystemConfig(TYPE_A, 2, 2.0)
     lhs, rhs, se = kernel_reproducing_check(
@@ -711,7 +729,7 @@ def test_kernel_reproducing_check_is_the_mean_of_two_kernels(cfg, y, z):
     assert se == float(vals.std(ddof=1) / math.sqrt(n))
 
 
-@pytest.mark.parametrize("n_samples", [-5, 0, 1])
+@pytest.mark.parametrize("n_samples", [-5, 0, 1, 2.5])
 def test_kernel_reproducing_check_needs_two_samples(n_samples):
     with pytest.raises(ValueError, match=f"n_samples = {n_samples}: .*at least 2"):
         kernel_reproducing_check(RootSystemConfig(TYPE_A, 2, 2.0), [0.2, 0.5], [-0.4, 0.1],

@@ -48,6 +48,12 @@ def test_config_validation():
     for nu in (math.nan, math.inf):
         with pytest.raises(ValueError, match="type B requires 0 <= nu < inf"):
             RootSystemConfig(TYPE_B, 3, 2.0, nu=nu)
+    # N must be an integer: a float N used to fail later, in the root table
+    for n in (2.5, 3.0, "3"):
+        for kind, nu in ((TYPE_A, None), (TYPE_B, 0.5)):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                RootSystemConfig(kind, n, 2.0, nu=nu)
+    assert gamma(RootSystemConfig(TYPE_A, np.int64(3), 2.0)) == 3.0
 
 
 def test_rank_and_gamma():

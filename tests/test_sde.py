@@ -425,6 +425,12 @@ def test_plan_validation():
             SimPlan(cfg=CFG_A2, dt=0.1, t_final=t_final, n_paths=10, seed=0, initial=(0.0, 1.0))
     with pytest.raises(ValueError):
         SimPlan(cfg=CFG_A2, dt=0.1, t_final=1.0, n_paths=0, seed=0, initial=(0.0, 1.0))
+    for n_paths in (2.5, 8.0):  # a float count used to fail later, in simulate_paths
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            SimPlan(cfg=CFG_A2, dt=0.1, t_final=1.0, n_paths=n_paths, seed=0, initial=(0.0, 1.0))
+    plan = SimPlan(cfg=CFG_A2, dt=0.1, t_final=0.2, n_paths=np.int64(8), seed=0,
+                   initial=(0.0, 1.0))
+    assert simulate_paths(plan).shape == (8, 2)
     with pytest.raises(ValueError):
         SimPlan(cfg=CFG_A2, dt=0.1, t_final=1.0, n_paths=5, seed=0, initial=(1.0,))
     with pytest.raises(ValueError):  # tied coordinates make the drift singular
