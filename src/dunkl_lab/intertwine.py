@@ -17,7 +17,10 @@ in `_lower_param`, the squared kernel variables in `_kernel_shells`, and, in
 `rootsys`, the group order |W| (`weyl_order`) and the complement of the root
 span (`span_complement`).  Every series term carries the filter weight
 c_tau / (c'_tau (N/alpha)_tau [(b)_tau]) of `_tau_weight`, computed once per
-(tau, alpha, N, b).
+(tau, alpha, N, b).  Every kernel, transition and reproducing check sums its
+series in `_series_shells`: monomial coefficients from the x side, then a
+nested Horner evaluation over the exponent vectors on blocks of y points,
+whose buffers (`_SERIES_BLOCK_ENTRIES`) are the series' one memory bound.
 """
 
 from __future__ import annotations
@@ -178,8 +181,72 @@ def linear_intertwiner(cfg: RootSystemConfig) -> np.ndarray:
 # hypergeometric series and kernels
 # ---------------------------------------------------------------------------
 
-#: float64 entries in the power table of one block of y points (1 MB)
+#: float64 entries in the Horner buffers of one block of y points (1 MB)
 _SERIES_BLOCK_ENTRIES = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _simplex_keys(n, top):
+    """The exponent vectors a of n variables with |a| <= top as nested lists:
+    entry [a_1]...[a_n] is the partition of a's sorted nonzero parts, the key
+    of the monomial coefficient that a's term carries (the tuple cached by
+    symfunc._partition_keys, so the table holds no copies)."""
+    def key(a):
+        return symfunc._partition_keys(sum(a), n)[tuple(sorted(filter(None, a), reverse=True))]
+
+    def build(prefix, budget):
+        if len(prefix) == n - 1:
+            return [key(prefix + (e,)) for e in range(budget + 1)]
+        return [build(prefix + (e,), budget - e) for e in range(budget + 1)]
+
+    return build((), top)
+
+
+def _lead(keys):
+    """The key at exponents (0, ..., 0) of a nested key list."""
+    while isinstance(keys, list):
+        keys = keys[0]
+    return keys
+
+
+def _horner(keys, coeffs, budget, ys, bufs, level=0):
+    """Sum over the exponent vectors a of the variables level.. with |a| <=
+    budget of c_a y^a, c_a = coeffs.get(keys[a], 0.0), by nested Horner
+    steps in y_level, into bufs[level]: each coefficient costs one in-place
+    multiply and one add."""
+    acc, y = bufs[level], ys[level]
+    acc[...] = coeffs.get(_lead(keys[budget]), 0.0)
+    for e in range(budget - 1, -1, -1):
+        acc *= y
+        if level == len(ys) - 1:
+            acc += coeffs.get(keys[e], 0.0)
+        else:
+            acc += _horner(keys[e], coeffs, budget - e, ys, bufs, level + 1)
+    return acc
+
+
+def _horner_top(keys, coeffs, budget, ys, bufs, power, level=0):
+    """As _horner over |a| = budget only, into bufs[level].  At the last two
+    variables (u, v) the sum is sum_e c_(e, budget - e) u^e v^(budget - e):
+    Horner steps in u, with v's powers one running product in power."""
+    acc, y = bufs[level], ys[level]
+    acc[...] = coeffs.get(_lead(keys[budget]), 0.0)
+    if level == len(ys) - 1:  # one variable: c_budget y^budget
+        for _ in range(budget):
+            acc *= y
+        return acc
+    for e in range(budget - 1, -1, -1):
+        acc *= y
+        if level < len(ys) - 2:
+            acc += _horner_top(keys[e], coeffs, budget - e, ys, bufs, power, level + 1)
+        else:  # the last two variables
+            v = ys[level + 1]
+            if e == budget - 1:
+                power[...] = v
+            else:
+                power *= v
+            acc += np.multiply(power, coeffs.get(keys[e][budget - e], 0.0), out=bufs[level + 1])
+    return acc
 
 
 def _series_shells(params: HyperSeriesParams, x, ybatch):
@@ -190,12 +257,17 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
     x is one point (N,) or a stack of k points (k, N); the sum shell_0 + ...
     + shell_D and shell_D each have shape x.shape[:-1] + ybatch.shape[:-1].
     The x side runs first, degree by degree: m_mu(x) is evaluated once per
-    partition mu of d, every P_tau(x) is formed from those values, and the
-    tau sum is collapsed to monomial coefficients in y (one per x point).
-    The y side walks the points in blocks: one table of the powers y^0..y^D
-    per block (at most _SERIES_BLOCK_ENTRIES entries, in one reused buffer)
-    serves every m_mu(y).  Each point keeps two running sums, the current
-    shell and the total in degree order: the same bits alone and in a batch.
+    partition mu of d (on Python floats for one point), every P_tau(x) is
+    formed from those values, and the tau sum is collapsed to monomial
+    coefficients c_mu in y (one per x point).  The y side is then the
+    polynomial sum_a c_sort(a) y^a over the exponent vectors a with |a| <= D
+    (the sum) and |a| = D (the top shell), evaluated by nested Horner steps
+    over the variables (`_horner`, `_horner_top`), with no table of powers.
+    The points go in blocks: the y columns, one (k, rows) buffer per
+    variable after the first and one running power, all in one reused buffer
+    of at most _SERIES_BLOCK_ENTRIES entries; the two results are written
+    straight into the output.  Each point sees the same operations alone and
+    in a batch, so it gets the same bits.
     A last axis of x or of ybatch other than n_vars raises ValueError.
     """
     alpha, n, b, top = params.alpha, params.n_vars, params.b, params.max_degree
@@ -205,11 +277,11 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
         if pts.shape[-1:] != (n,):
             raise ValueError(f"{name} has shape {pts.shape}, but the series is in "
                              f"n_vars = {n} variables: its last axis must have length {n}")
-    coeffs = []
+    xs = x if x.ndim == 1 else x.reshape(-1, n)
+    coeffs: dict = {}
     for d in range(top + 1):
         taus = partitions_of(d, n)
-        m_x = {mu: symfunc.monomial_eval(mu, x) for mu in taus}
-        mu_coeffs: dict = {}
+        m_x = {mu: symfunc.monomial_eval(mu, xs) for mu in taus}
         for tau in taus:
             jack = jack_coeffs(tau, alpha, n)
             p_x = sum(c * m_x[mu] for mu, c in jack.coeffs.items())
@@ -217,23 +289,25 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
             if not np.any(w):
                 continue
             for mu, c in jack.coeffs.items():
-                mu_coeffs[mu] = mu_coeffs.get(mu, 0.0) + w * c
-        coeffs.append(mu_coeffs)
+                coeffs[mu] = coeffs.get(mu, 0.0) + w * c
+    if xs.ndim > 1:  # (k, 1): each x point's coefficient spans its row of a block
+        coeffs = {mu: c[:, None] for mu, c in coeffs.items()}
+    keys = _simplex_keys(n, top)
     ys = ybatch.reshape(-1, n)
-    m = len(ys)
-    out = np.zeros((2,) + x.shape[:-1] + (m,))
-    rows = max(1, _SERIES_BLOCK_ENTRIES // ((top + 1) * n))
-    buf = np.empty((top + 1) * n * min(rows, m))
+    k, m = (1 if xs.ndim == 1 else len(xs)), len(ys)
+    out = np.empty((2, k, m))
+    per_row = n + 1 + k * (n - 1)  # y columns, running power, level buffers
+    rows = max(1, _SERIES_BLOCK_ENTRIES // per_row)
+    buf = np.empty(per_row * min(rows, m))
     for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        table = buf[:(top + 1) * n * (hi - lo)].reshape(top + 1, n, hi - lo)
-        powers = symfunc._powers(ys[lo:hi], top, table)
-        acc, shell = out[..., lo:hi]
-        for mu_coeffs in coeffs:
-            shell.fill(0.0)
-            for mu, c in mu_coeffs.items():
-                shell += np.multiply.outer(c, symfunc._monomial_from_powers(mu, powers))
-            acc += shell
+        h = min(rows, m - lo)
+        cols = buf[:n * h].reshape(n, h)
+        np.copyto(cols, ys[lo:lo + h].T)
+        power = buf[n * h:(n + 1) * h]
+        levels = list(buf[(n + 1) * h:per_row * h].reshape(n - 1, k, h))
+        total, last = out[:, :, lo:lo + h]
+        _horner(keys, coeffs, top, cols, [total] + levels)
+        _horner_top(keys, coeffs, top, cols, [last] + levels, power)
     return tuple(out.reshape((2,) + x.shape[:-1] + ybatch.shape[:-1]))
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -132,24 +133,44 @@ class RootTable:
 
 
 def root_table(cfg: RootSystemConfig) -> RootTable:
-    """The positive roots of cfg, built on first use and cached on (kind, n, nu)."""
+    """The positive roots of cfg, built on first use and cached on (kind, n, nu);
+    only kappa depends on nu."""
     return _root_table(cfg.kind, cfg.n, cfg.nu)
 
 
-@functools.lru_cache(maxsize=32)
-def _root_table(kind, n, nu):
+def _root_layout(kind, n):
+    """i, j, s, norm2 and ji of the roots of (kind, n), read-only."""
     j, i = np.tril_indices(n, -1)  # j > i, in the order (1,0), (2,0), (2,1), ...
     s = np.full(len(i), -1.0)
-    kappa = np.ones(len(i))
     if kind == TYPE_B:  # e_j - e_i and e_j + e_i side by side, then the e_j
         k = np.arange(n)
         i, j = np.concatenate([np.repeat(i, 2), k]), np.concatenate([np.repeat(j, 2), k])
         s = np.concatenate([np.tile([-1.0, 1.0], len(s)), np.zeros(n)])
-        kappa = np.concatenate([np.ones(2 * len(kappa)), np.full(n, nu + 0.5)])
     norm2, ji = 1.0 + s**2, j * n + i
-    for a in (i, j, s, kappa, norm2, ji):
+    for a in (i, j, s, norm2, ji):
         a.flags.writeable = False
-    return RootTable(n, i, j, s, kappa, norm2, ji)
+    return i, j, s, norm2, ji
+
+
+#: (kind, n) -> the last table built for it, while the cache below holds it
+_layout_donors = weakref.WeakValueDictionary()
+
+
+@functools.lru_cache(maxsize=32)
+def _root_table(kind, n, nu):
+    """Only kappa depends on nu: a cached table of the same (kind, n) lends
+    its read-only layout arrays, so the cache holds one copy of them."""
+    donor = _layout_donors.get((kind, n))
+    if donor is None:
+        i, j, s, norm2, ji = _root_layout(kind, n)
+    else:
+        i, j, s, norm2, ji = donor.i, donor.j, donor.s, donor.norm2, donor.ji
+    kappa = np.ones(len(s))
+    if kind == TYPE_B:
+        kappa[-n:] = nu + 0.5  # the coordinate roots e_j
+    kappa.flags.writeable = False
+    table = _layout_donors[kind, n] = RootTable(n, i, j, s, kappa, norm2, ji)
+    return table
 
 
 def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:

@@ -21,6 +21,7 @@ partitions below it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,10 +31,13 @@ Partition = tuple  # weakly decreasing positive ints
 
 
 def _check_partition(lam):
-    lam = tuple(int(p) for p in lam)
-    if any(p <= 0 for p in lam):
+    try:
+        lam = tuple(map(operator.index, lam))
+    except TypeError:
+        raise ValueError(f"parts must be integers, got {lam!r}") from None
+    if lam and min(lam) <= 0:
         raise ValueError("parts must be positive")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if list(lam) != sorted(lam, reverse=True):
         raise ValueError("parts must be weakly decreasing")
     return lam
 
@@ -180,28 +184,61 @@ def _monomial_from_powers(lam, powers):
     return total
 
 
+def _monomial_at_point(lam, x):
+    """m_lambda at one point x, a list of floats: the chain of products of
+    _powers and the term products of _monomial_from_powers, done on Python
+    floats, so the value has the bits of the array path."""
+    top = lam[0] if lam else 0
+    powers = []
+    for v in x:
+        row = [1.0, v]
+        for _ in range(2, top + 1):
+            row.append(row[-1] * v)
+        powers.append(row)
+    total = 0.0
+    for a in _exponents(lam, len(x)):
+        term = None
+        for k, e in enumerate(a):
+            if e:
+                term = powers[k][e] if term is None else term * powers[k][e]
+        total += 1.0 if term is None else term
+    return total
+
+
+def _points(x, caller, batched=True):
+    """x as a float array of one point (n_vars,), or, when batched, of points
+    (..., n_vars); any other shape raises ValueError naming it."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or (x.ndim > 1 and not batched):
+        takes = "a point (n_vars,) or a batch (..., n_vars)" if batched else "one point (n_vars,)"
+        raise ValueError(f"x has shape {x.shape}, but {caller} takes {takes}")
+    return x
+
+
 def monomial_eval(lam: Partition, x):
     """m_lambda(x): sum of x^a over distinct permutations a of lambda.
 
     x may be a vector or an array (..., n_vars); vectorized over leading axes.
     The powers x^0..x^lambda_1 of x's columns are formed once (`_powers`),
     and each term is a product of rows gathered from that table
-    (`_monomial_from_powers`).
+    (`_monomial_from_powers`).  One point takes the same products on Python
+    floats (`_monomial_at_point`): the same bits, as a float.
     """
     lam = _check_partition(lam)
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "monomial_eval")
     n = x.shape[-1]
     if len(lam) > n:
         raise ValueError("partition longer than variable count")
+    if x.ndim == 1:
+        return _monomial_at_point(lam, x.tolist())
     top = lam[0] if lam else 0
     powers = _powers(x, top, np.empty((top + 1, n) + x.shape[:-1]))
-    total = _monomial_from_powers(lam, powers)
-    return float(total) if total.ndim == 0 else total
+    return _monomial_from_powers(lam, powers)
 
 
 def elementary_eval(k: int, x):
-    """Elementary symmetric polynomial e_k(x)."""
-    x = np.asarray(x, dtype=float)
+    """Elementary symmetric polynomial e_k(x) at one point x."""
+    x = _points(x, "elementary_eval", batched=False)
     n = len(x)
     if k < 0 or k > n:
         return 0.0
@@ -214,14 +251,14 @@ def elementary_eval(k: int, x):
 
 
 def schur_eval(lam: Partition, x):
-    """Schur polynomial via the bialternant ratio of alternants.
+    """Schur polynomial at one point x via the bialternant ratio of alternants.
 
     Near-coincident coordinates are nudged apart deterministically before
     the determinant ratio (the ratio is continuous; the nudge keeps the two
     determinants individually well-conditioned).
     """
     lam = _check_partition(lam)
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "schur_eval", batched=False)
     n = len(x)
     if len(lam) > n:
         raise ValueError("partition longer than variable count")
@@ -358,7 +395,8 @@ def jack_coeffs(lam: Partition, alpha: float, n_vars: int) -> SymPoly:
 
 def jack_eval(lam: Partition, alpha: float, x):
     """Evaluate P_lambda^(alpha) at x (vectorized like monomial_eval)."""
-    poly = jack_coeffs(tuple(lam), float(alpha), np.asarray(x).shape[-1])
+    x = _points(x, "jack_eval")
+    poly = jack_coeffs(tuple(lam), float(alpha), x.shape[-1])
     return sympoly_eval(poly, x)
 
 

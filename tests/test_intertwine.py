@@ -561,11 +561,12 @@ def _monomial_eval_by_chain(lam, x):
 def _series_shells_by_monomial(params, x, ybatch):
     """The series shells with one _monomial_eval_by_chain call per monomial on
     each side, the y side on the whole batch at once: the reference for the
-    blocked y side that reads every m_mu(y) from one power table per block."""
+    Horner y side.  Returns the shells and, per degree, the absolute series
+    sum_mu |c_mu| m_mu(|y|) that bounds their rounding."""
     alpha, n, b = params.alpha, params.n_vars, params.b
     x = np.asarray(x, dtype=float)
     ybatch = np.asarray(ybatch, dtype=float)
-    shells = np.zeros((params.max_degree + 1,) + x.shape[:-1] + ybatch.shape[:-1])
+    shells = np.zeros((2, params.max_degree + 1) + x.shape[:-1] + ybatch.shape[:-1])
     for d in range(params.max_degree + 1):
         taus = partitions_of(d, n)
         m_x = {mu: _monomial_eval_by_chain(mu, x) for mu in taus}
@@ -579,8 +580,22 @@ def _series_shells_by_monomial(params, x, ybatch):
             for mu, c in jack.coeffs.items():
                 mu_coeffs[mu] = mu_coeffs.get(mu, 0.0) + w * c
         for mu, c in mu_coeffs.items():
-            shells[d] += np.multiply.outer(c, _monomial_eval_by_chain(mu, ybatch))
+            shells[0, d] += np.multiply.outer(c, _monomial_eval_by_chain(mu, ybatch))
+            shells[1, d] += np.multiply.outer(abs(c), _monomial_eval_by_chain(mu, abs(ybatch)))
     return shells
+
+
+def _assert_matches_the_oracle(params, x, y):
+    # Horner's rounding error on a degree-D polynomial is at most about 2D
+    # roundings of the absolute series, and the oracle's is of the same
+    # order: bound the gap by 2 (D + N) eps times the absolute series, not
+    # relative to the value, since the top shell cancels
+    total, last = intertwine._series_shells(params, x, y)
+    shells, absolute = _series_shells_by_monomial(params, x, y)
+    assert total.shape == last.shape == np.shape(x)[:-1] + np.shape(y)[:-1]
+    bound = 2 * (params.max_degree + params.n_vars) * np.finfo(float).eps
+    assert np.all(np.abs(total - shells.sum(axis=0)) <= bound * absolute.sum(axis=0))
+    assert np.all(np.abs(last - shells[-1]) <= bound * absolute[-1])
 
 
 @pytest.mark.parametrize("degree", [0, 1, 18])
@@ -588,21 +603,26 @@ def _series_shells_by_monomial(params, x, ybatch):
 @pytest.mark.parametrize("x_shape", [(3,), (2, 3)], ids=["point", "stack"])
 def test_blocked_y_side_matches_one_call_per_monomial(degree, b, x_shape):
     # one point, exactly one block, one block and one point, three blocks and
-    # 5 points, and a leading shape (a, b) whose rows straddle the blocks: the
-    # same bits, sum and top shell, as one call of the chain evaluator per
-    # monomial on the whole batch
+    # 5 points, and a leading shape (a, b) whose rows straddle the blocks
     params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=degree, b=b)
-    rows = intertwine._SERIES_BLOCK_ENTRIES // ((degree + 1) * 3)
+    k = math.prod(x_shape[:-1])
+    rows = intertwine._SERIES_BLOCK_ENTRIES // (3 + 1 + 2 * k)
     rng = np.random.default_rng(degree)
     x = rng.uniform(-0.8, 0.8, size=x_shape)
     for y_shape in [(3,), (rows, 3), (rows + 1, 3), (3 * rows + 5, 3), (3, rows // 2 + 1, 3)]:
-        y = rng.uniform(-0.8, 0.8, size=y_shape)
-        total, last = intertwine._series_shells(params, x, y)
-        shells = _series_shells_by_monomial(params, x, y)
-        assert total.shape == last.shape == x_shape[:-1] + y_shape[:-1]
-        # the series adds its shells in degree order, for every shape
-        assert np.array_equal(total, np.add.accumulate(shells, axis=0)[-1]), y_shape
-        assert np.array_equal(last, shells[-1]), y_shape
+        _assert_matches_the_oracle(params, x, rng.uniform(-0.8, 0.8, size=y_shape))
+
+
+@pytest.mark.parametrize("n, degree, b, x_shape", [
+    (1, 12, None, (1,)), (1, 9, 2.3, (2, 1)), (4, 10, None, (4,)), (4, 8, 2.3, (2, 4)),
+    (5, 8, None, (5,)), (5, 6, 1.7, (2, 5)),
+])
+def test_horner_y_side_matches_the_oracle_in_one_four_and_five_variables(n, degree, b,
+                                                                        x_shape):
+    params = HyperSeriesParams(alpha=0.7, n_vars=n, max_degree=degree, b=b)
+    rng = np.random.default_rng(n + degree)
+    x = rng.uniform(-1.0, 1.0, size=x_shape)
+    _assert_matches_the_oracle(params, x, rng.uniform(-1.0, 1.0, size=(300, n)))
 
 
 @pytest.mark.parametrize("cfg", [RootSystemConfig(TYPE_A, 3, 2.0),
@@ -623,26 +643,29 @@ def test_a_point_gets_the_same_series_bits_alone_and_in_a_batch(cfg, degree):
     assert np.array_equal(alone, np.stack([total, abs(last)], axis=1))
 
 
-def test_y_power_tables_stay_within_the_block_budget(monkeypatch):
-    # every power table of a D=30 kernel on 65536 points fits the budget, and
-    # the y side refills one buffer for all of its blocks
-    tables = []
-    powers = symfunc._powers
+def test_horner_buffers_stay_within_the_block_budget(monkeypatch):
+    # the y columns, the running power and the level buffers of a D=30
+    # kernel on 65536 points fit the budget, and every block reuses one buffer
+    blocks = []
+    horner_top = intertwine._horner_top
 
-    def recording(x, top, out):
-        tables.append(out)
-        return powers(x, top, out)
+    def recording(keys, coeffs, budget, ys, bufs, power, level=0):
+        if level == 0:
+            blocks.append((ys, bufs[1:], power))
+        return horner_top(keys, coeffs, budget, ys, bufs, power, level)
 
-    monkeypatch.setattr(symfunc, "_powers", recording)
+    monkeypatch.setattr(intertwine, "_horner_top", recording)
     rng = np.random.default_rng(30)
     ys = rng.uniform(-0.6, 0.6, size=(65536, 3))
     bessel_kernel(RootSystemConfig(TYPE_A, 3, 2.0), np.array([-0.3, 0.1, 0.4]), ys,
                   max_degree=30)
-    assert max(t.size for t in tables) <= intertwine._SERIES_BLOCK_ENTRIES
-    y_tables = [t for t in tables if t.ndim == 3]
-    rows = intertwine._SERIES_BLOCK_ENTRIES // (31 * 3)
-    assert len(y_tables) == -(-65536 // rows)
-    assert all(np.shares_memory(t, y_tables[0]) for t in y_tables)
+    rows = intertwine._SERIES_BLOCK_ENTRIES // (3 + 1 + 2)
+    assert len(blocks) == -(-65536 // rows) > 1
+    first = blocks[0][0]
+    for cols, levels, power in blocks:
+        assert cols.size + power.size + sum(b.size for b in levels) <= (
+            intertwine._SERIES_BLOCK_ENTRIES)
+        assert all(np.shares_memory(a, first.base) for a in (cols, power, *levels))
 
 
 def test_kernel_series_memory_does_not_grow_with_the_degree():

@@ -157,6 +157,20 @@ def test_root_table_is_cached_and_read_only():
     assert np.moveaxis(cols, -1, 0).tobytes() == batch.tobytes()
 
 
+def test_root_layout_is_shared_across_nu():
+    # only kappa depends on nu: B120 at nu = 0.5 and 2.5 share one copy of
+    # the other arrays (576 kB each) instead of holding two
+    n = 120
+    lo, hi = (root_table(RootSystemConfig(TYPE_B, n, 2.0, nu=nu)) for nu in (0.5, 2.5))
+    assert lo is not hi
+    for name in ("i", "j", "s", "norm2", "ji"):
+        a, b = getattr(lo, name), getattr(hi, name)
+        assert np.shares_memory(a, b) and np.array_equal(a, b), name
+    assert np.array_equal(lo.kappa[:-n], hi.kappa[:-n]) and np.all(lo.kappa[:-n] == 1.0)
+    assert np.all(lo.kappa[-n:] == 1.0) and np.all(hi.kappa[-n:] == 3.0)
+    assert not np.shares_memory(lo.kappa, hi.kappa)
+
+
 @pytest.mark.parametrize("kind,nu", [(TYPE_A, None), (TYPE_B, 1.5)])
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_transposes_of_dot_match_the_dense_roots(kind, nu, n):

@@ -115,6 +115,57 @@ def test_one_shared_power_table_matches_monomial_eval():
                 assert np.all(got == monomial_eval(lam, x)), lam
 
 
+@st.composite
+def _point_case(draw):
+    n = draw(st.integers(1, 5))
+    lam = tuple(sorted(draw(st.lists(st.integers(1, 8), max_size=n)), reverse=True))
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    return lam, draw(arrays(float, (n,), elements=coord))
+
+
+@settings(max_examples=300)
+@given(_point_case())
+def test_monomial_eval_on_a_point_is_row_0_of_the_array_path(case):
+    # one point runs the products on Python floats: a float with the bits
+    # of the array path's row for the same point
+    lam, x = case
+    got = monomial_eval(lam, x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == monomial_eval(lam, x[None])[0].tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: symfunc._check_partition([2.9, 1]),
+    lambda: jack_coeffs((2.5, 1), 1.0, 3),
+    lambda: monomial_eval((1.5,), [1.0, 2.0]),
+], ids=["check_partition", "jack_coeffs", "monomial_eval"])
+def test_non_integer_parts_are_refused(call):
+    # int() used to truncate them: (2, 1), P_(2,1) and m_(1) = 3.0
+    with pytest.raises(ValueError, match="parts must be integers"):
+        call()
+
+
+def test_numpy_integer_parts_pass():
+    lam = (np.int64(3), np.int32(1))
+    assert symfunc._check_partition(lam) == (3, 1)
+    assert monomial_eval(lam, [1.0, 2.0]) == monomial_eval((3, 1), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, shape, takes", [
+    (lambda: monomial_eval((1,), 3.0), (), "monomial_eval takes a point"),
+    (lambda: jack_eval((1,), 1.0, 3.0), (), "jack_eval takes a point"),
+    (lambda: elementary_eval(1, 3.0), (), "elementary_eval takes one point"),
+    (lambda: elementary_eval(1, np.ones((2, 2))), (2, 2), "elementary_eval takes one point"),
+    (lambda: schur_eval((1,), np.ones((2, 2))), (2, 2), "schur_eval takes one point"),
+], ids=["monomial_scalar", "jack_scalar", "elementary_scalar", "elementary_batch",
+        "schur_batch"])
+def test_malformed_points_are_refused_by_shape(call, shape, takes):
+    # these raised numpy's IndexError, TypeError or LinAlgError, and
+    # elementary_eval read a batch's rows as coordinates
+    with pytest.raises(ValueError, match=re.escape(f"x has shape {shape}, but {takes}")):
+        call()
+
+
 def test_elementary_eval():
     x = np.array([1.0, 2.0, 3.0])
     assert elementary_eval(2, x) == pytest.approx(11.0)
