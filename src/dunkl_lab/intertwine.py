@@ -18,7 +18,8 @@ in `_lower_param`, the squared kernel variables in `_kernel_shells`, and, in
 span (`span_complement`).  Every series term carries the filter weight
 c_tau / (c'_tau (N/alpha)_tau [(b)_tau]) of `_tau_weight`, computed once per
 (tau, alpha, N, b).  Every kernel, transition and reproducing check sums its
-series in `_series_shells`: monomial coefficients from the x side, then a
+series in `_series_shells`: monomial coefficients from the x side, two
+products per degree with the cached Jack triangle (`_jack_triangle`), then a
 nested Horner evaluation over the exponent vectors on blocks of y points,
 whose buffers (`_SERIES_BLOCK_ENTRIES`) are the series' one memory bound.
 """
@@ -65,6 +66,13 @@ class HyperSeriesParams:
             raise ValueError("n_vars must be an integer >= 1")
         if not isinstance(self.max_degree, Integral) or self.max_degree < 0:
             raise ValueError("max_degree must be an integer >= 0")
+        if self.b is not None:  # a zero factor of (b)_tau, formed as gen_pochhammer forms it,
+            # in a row i <= n_vars at a k >= 0: tau_1..tau_i > k needs |tau| >= i(k+1)
+            for i in range(1, min(self.n_vars, self.max_degree) + 1):
+                for k in range(self.max_degree // i):
+                    if self.b - (i - 1) / self.alpha + k == 0.0:
+                        raise ValueError(f"b = {self.b} is a pole of the series: "
+                                         f"b - (i - 1)/alpha + k = 0 at row i = {i}, k = {k}")
 
 
 def _fact_partition(lam):
@@ -186,6 +194,16 @@ _SERIES_BLOCK_ENTRIES = 1 << 17
 
 
 @lru_cache(maxsize=None)
+def _jack_triangle(d, alpha, n):
+    """The Jack triangle U_d, read-only: row tau, column mu, both over
+    partitions_of(d, n), entry u_{tau,mu} of jack_coeffs(tau, alpha, n)."""
+    taus = partitions_of(d, n)
+    u = np.array([[jack_coeffs(tau, alpha, n).coeffs.get(mu, 0.0) for mu in taus] for tau in taus])
+    u.flags.writeable = False
+    return u
+
+
+@lru_cache(maxsize=None)
 def _simplex_keys(n, top):
     """The exponent vectors a of n variables with |a| <= top as nested lists:
     entry [a_1]...[a_n] is the partition of a's sorted nonzero parts, the key
@@ -211,15 +229,15 @@ def _lead(keys):
 
 def _horner(keys, coeffs, budget, ys, bufs, level=0):
     """Sum over the exponent vectors a of the variables level.. with |a| <=
-    budget of c_a y^a, c_a = coeffs.get(keys[a], 0.0), by nested Horner
+    budget of c_a y^a, c_a = coeffs[keys[a]], by nested Horner
     steps in y_level, into bufs[level]: each coefficient costs one in-place
     multiply and one add."""
     acc, y = bufs[level], ys[level]
-    acc[...] = coeffs.get(_lead(keys[budget]), 0.0)
+    acc[...] = coeffs[_lead(keys[budget])]
     for e in range(budget - 1, -1, -1):
         acc *= y
         if level == len(ys) - 1:
-            acc += coeffs.get(keys[e], 0.0)
+            acc += coeffs[keys[e]]
         else:
             acc += _horner(keys[e], coeffs, budget - e, ys, bufs, level + 1)
     return acc
@@ -230,7 +248,7 @@ def _horner_top(keys, coeffs, budget, ys, bufs, power, level=0):
     variables (u, v) the sum is sum_e c_(e, budget - e) u^e v^(budget - e):
     Horner steps in u, with v's powers one running product in power."""
     acc, y = bufs[level], ys[level]
-    acc[...] = coeffs.get(_lead(keys[budget]), 0.0)
+    acc[...] = coeffs[_lead(keys[budget])]
     if level == len(ys) - 1:  # one variable: c_budget y^budget
         for _ in range(budget):
             acc *= y
@@ -245,7 +263,7 @@ def _horner_top(keys, coeffs, budget, ys, bufs, power, level=0):
                 power[...] = v
             else:
                 power *= v
-            acc += np.multiply(power, coeffs.get(keys[e][budget - e], 0.0), out=bufs[level + 1])
+            acc += np.multiply(power, coeffs[keys[e][budget - e]], out=bufs[level + 1])
     return acc
 
 
@@ -256,10 +274,12 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
         (c_tau / c'_tau) P_tau(x) P_tau(y) / ((N/alpha)_tau [(b)_tau]).
     x is one point (N,) or a stack of k points (k, N); the sum shell_0 + ...
     + shell_D and shell_D each have shape x.shape[:-1] + ybatch.shape[:-1].
-    The x side runs first, degree by degree: m_mu(x) is evaluated once per
-    partition mu of d (on Python floats for one point), every P_tau(x) is
-    formed from those values, and the tau sum is collapsed to monomial
-    coefficients c_mu in y (one per x point).  The y side is then the
+    The x side runs first, degree by degree: with m the vector of m_mu(x)
+    over the partitions mu of d (one monomial_eval call each), U the Jack
+    triangle (`_jack_triangle`) and w the `_tau_weight`s, the monomial
+    coefficients in y are c = U^T (w * (U m)), since U m lists the P_tau(x).
+    A stack of x points takes one such pair of matrix-vector products per
+    point, so each gets the bits it gets alone.  The y side is then the
     polynomial sum_a c_sort(a) y^a over the exponent vectors a with |a| <= D
     (the sum) and |a| = D (the top shell), evaluated by nested Horner steps
     over the variables (`_horner`, `_horner_top`), with no table of powers.
@@ -281,17 +301,13 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
     coeffs: dict = {}
     for d in range(top + 1):
         taus = partitions_of(d, n)
-        m_x = {mu: symfunc.monomial_eval(mu, xs) for mu in taus}
-        for tau in taus:
-            jack = jack_coeffs(tau, alpha, n)
-            p_x = sum(c * m_x[mu] for mu, c in jack.coeffs.items())
-            w = _tau_weight(tau, alpha, n, b) * p_x
-            if not np.any(w):
-                continue
-            for mu, c in jack.coeffs.items():
-                coeffs[mu] = coeffs.get(mu, 0.0) + w * c
-    if xs.ndim > 1:  # (k, 1): each x point's coefficient spans its row of a block
-        coeffs = {mu: c[:, None] for mu, c in coeffs.items()}
+        u = _jack_triangle(d, alpha, n)
+        w = np.array([_tau_weight(tau, alpha, n, b) for tau in taus])
+        m = np.array([symfunc.monomial_eval(mu, xs) for mu in taus]).reshape(len(taus), -1)
+        # one pair of matrix-vector products per x point (a matrix product
+        # need not round as they do); c[mu] is (k, 1), spanning k rows of a block
+        c = np.stack([u.T @ (w * (u @ mj)) for mj in np.ascontiguousarray(m.T)], axis=1)
+        coeffs.update(zip(taus, c[:, :, None]))
     keys = _simplex_keys(n, top)
     ys = ybatch.reshape(-1, n)
     k, m = (1 if xs.ndim == 1 else len(xs)), len(ys)
@@ -316,7 +332,8 @@ def hyper_series(params: HyperSeriesParams, x, y):
 
     0F1 when params.b is set, 0F0 otherwise, at one point x and one point y,
     each of shape (n_vars,); callers should treat a last shell above ~1e-8 of
-    the partial sum as unconverged.
+    the partial sum as unconverged.  It is an estimate, not a bound: where x
+    or y is a Weyl image of its own negative, every odd shell is 0.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
@@ -400,6 +417,10 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
 
     A t outside (0, inf) raises ValueError; a truncated series that does not
     sum to a positive value has no logarithm and raises ArithmeticError.
+    last_shell_ratio estimates the truncation error; it does not bound it.
+    At an odd max_degree it reads 0 where x or y is a Weyl image of its own
+    negative (A3 beta=2, x = (-1, 0, 1), y = (-2, 0.5, 3), t = 0.5, degree 5:
+    converged, and off by 1.33).
     """
     if not 0 < t < math.inf:
         raise ValueError(f"need 0 < t < inf, got t = {t}")

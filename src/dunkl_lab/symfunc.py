@@ -159,49 +159,25 @@ def _exponents(lam, n_vars):
     return tuple(_distinct_perms(lam, n_vars))
 
 
-def _powers(x, top, out):
-    """Fill out, shape (top + 1, n_vars) + x.shape[:-1], with the powers
-    x_k^e, e = 0..top, of x's columns by one chain of products
-    p_e = p_{e-1} * x, and return it."""
-    out[0] = 1.0
-    if top:
-        out[1] = np.moveaxis(x, -1, 0)
-    for e in range(2, top + 1):
-        np.multiply(out[e - 1], out[1], out=out[e])
-    return out
-
-
-def _monomial_from_powers(lam, powers):
-    """m_lambda from a table of _powers: the sum, over the exponent vectors a
-    of _exponents, of the products of the gathered rows powers[a_k, k]."""
-    total = np.zeros(powers.shape[2:])
-    for a in _exponents(lam, powers.shape[1]):
-        term = None
-        for k, e in enumerate(a):
-            if e:
-                term = powers[e, k] if term is None else term * powers[e, k]
-        total += powers[0, 0] if term is None else term  # None: the empty partition
-    return total
-
-
-def _monomial_at_point(lam, x):
-    """m_lambda at one point x, a list of floats: the chain of products of
-    _powers and the term products of _monomial_from_powers, done on Python
-    floats, so the value has the bits of the array path."""
+def _monomial(lam, cols):
+    """m_lambda from the columns of x: a point's Python floats or a batch's
+    column views.  Each column's powers come from one chain of products
+    p_e = p_{e-1} x_k, and each term's product is added in order to 0.0, so
+    a point has the bits of its row in a batch.  lam = () gives 1.0."""
     top = lam[0] if lam else 0
     powers = []
-    for v in x:
+    for v in cols:
         row = [1.0, v]
         for _ in range(2, top + 1):
             row.append(row[-1] * v)
         powers.append(row)
     total = 0.0
-    for a in _exponents(lam, len(x)):
+    for a in _exponents(lam, len(cols)):
         term = None
         for k, e in enumerate(a):
             if e:
                 term = powers[k][e] if term is None else term * powers[k][e]
-        total += 1.0 if term is None else term
+        total += 1.0 if term is None else term  # None: the empty partition
     return total
 
 
@@ -219,21 +195,19 @@ def monomial_eval(lam: Partition, x):
     """m_lambda(x): sum of x^a over distinct permutations a of lambda.
 
     x may be a vector or an array (..., n_vars); vectorized over leading axes.
-    The powers x^0..x^lambda_1 of x's columns are formed once (`_powers`),
-    and each term is a product of rows gathered from that table
-    (`_monomial_from_powers`).  One point takes the same products on Python
-    floats (`_monomial_at_point`): the same bits, as a float.
+    One evaluator (`_monomial`) runs on the Python floats of one point, which
+    gives a float, and on the column views of a batch, so a point has the
+    same bits alone and as a row of a batch.
     """
     lam = _check_partition(lam)
     x = _points(x, "monomial_eval")
-    n = x.shape[-1]
-    if len(lam) > n:
+    if len(lam) > x.shape[-1]:
         raise ValueError("partition longer than variable count")
     if x.ndim == 1:
-        return _monomial_at_point(lam, x.tolist())
-    top = lam[0] if lam else 0
-    powers = _powers(x, top, np.empty((top + 1, n) + x.shape[:-1]))
-    return _monomial_from_powers(lam, powers)
+        return _monomial(lam, x.tolist())
+    if not lam:
+        return np.ones(x.shape[:-1])
+    return _monomial(lam, [x[..., k] for k in range(x.shape[-1])])
 
 
 def elementary_eval(k: int, x):

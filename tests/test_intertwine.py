@@ -561,28 +561,76 @@ def _monomial_eval_by_chain(lam, x):
 def _series_shells_by_monomial(params, x, ybatch):
     """The series shells with one _monomial_eval_by_chain call per monomial on
     each side, the y side on the whole batch at once: the reference for the
-    Horner y side.  Returns the shells and, per degree, the absolute series
-    sum_mu |c_mu| m_mu(|y|) that bounds their rounding."""
+    Horner y side.  The x side is the series' own, c = U^T (w * U m) per x
+    point, so the gap measures the y side alone.  Returns the shells and, per
+    degree, the absolute series sum_mu |c_mu| m_mu(|y|) that bounds their
+    rounding."""
     alpha, n, b = params.alpha, params.n_vars, params.b
     x = np.asarray(x, dtype=float)
     ybatch = np.asarray(ybatch, dtype=float)
     shells = np.zeros((2, params.max_degree + 1) + x.shape[:-1] + ybatch.shape[:-1])
     for d in range(params.max_degree + 1):
         taus = partitions_of(d, n)
-        m_x = {mu: _monomial_eval_by_chain(mu, x) for mu in taus}
-        mu_coeffs: dict = {}
-        for tau in taus:
-            jack = jack_coeffs(tau, alpha, n)
-            p_x = sum(c * m_x[mu] for mu, c in jack.coeffs.items())
-            w = intertwine._tau_weight(tau, alpha, n, b) * p_x
-            if not np.any(w):
-                continue
-            for mu, c in jack.coeffs.items():
-                mu_coeffs[mu] = mu_coeffs.get(mu, 0.0) + w * c
-        for mu, c in mu_coeffs.items():
+        u = intertwine._jack_triangle(d, alpha, n)
+        w = np.array([intertwine._tau_weight(tau, alpha, n, b) for tau in taus])
+        m_x = np.array([_monomial_eval_by_chain(mu, x) for mu in taus])
+        per_point = np.ascontiguousarray(m_x.reshape(len(taus), -1).T)
+        c_x = np.stack([u.T @ (w * (u @ mj)) for mj in per_point], axis=1)
+        for mu, c in zip(taus, c_x.reshape((len(taus),) + x.shape[:-1])):
             shells[0, d] += np.multiply.outer(c, _monomial_eval_by_chain(mu, ybatch))
             shells[1, d] += np.multiply.outer(abs(c), _monomial_eval_by_chain(mu, abs(ybatch)))
     return shells
+
+
+def _x_side_by_tau_loop(params, x):
+    """Monomial coefficients c_mu of the series in y, by the dict loops over
+    (tau, mu) pairs: P_tau(x) from jack_coeffs, then w_tau P_tau(x) u_tau,mu
+    scattered into c_mu.  The reference for the x side; also returns, per mu,
+    sum_tau |w_tau| P~_tau(|x|) |u_tau,mu| with P~_tau(|x|) = sum_nu |u_tau,nu|
+    m_nu(|x|), the scale that bounds both sides' rounding."""
+    alpha, n, b = params.alpha, params.n_vars, params.b
+    coeffs, scale = {}, {}
+    for d in range(params.max_degree + 1):
+        taus = partitions_of(d, n)
+        m_x = {mu: symfunc.monomial_eval(mu, x) for mu in taus}
+        m_abs = {mu: symfunc.monomial_eval(mu, np.abs(x)) for mu in taus}
+        for tau in taus:
+            jack = jack_coeffs(tau, alpha, n)
+            w = intertwine._tau_weight(tau, alpha, n, b)
+            p_x = w * sum(c * m_x[mu] for mu, c in jack.coeffs.items())
+            p_abs = abs(w) * sum(abs(c) * m_abs[mu] for mu, c in jack.coeffs.items())
+            for mu, c in jack.coeffs.items():
+                coeffs[mu] = coeffs.get(mu, 0.0) + p_x * c
+                scale[mu] = scale.get(mu, 0.0) + p_abs * abs(c)
+    return coeffs, scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("alpha", [0.25, 0.7, 1.0, 2.5])
+@pytest.mark.parametrize("b", [None, 2.3])
+def test_x_side_matches_the_tau_loop(n, alpha, b, monkeypatch):
+    # the two triangular products round differently from the dict loops;
+    # each c_mu of degree d is within 2 (P_d + d + N) eps of the scale
+    params = HyperSeriesParams(alpha=alpha, n_vars=n, max_degree=15 if n < 5 else 12, b=b)
+    seen = []
+    horner = intertwine._horner
+
+    def recording(keys, coeffs, budget, ys, bufs, level=0):
+        if level == 0:
+            seen.append(coeffs)
+        return horner(keys, coeffs, budget, ys, bufs, level)
+
+    monkeypatch.setattr(intertwine, "_horner", recording)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.2, 1.2, size=(2, n))
+    intertwine._series_shells(params, x, np.ones(n))
+    intertwine._series_shells(params, x[1], np.ones(n))
+    for k, got in ((slice(None), seen[0]), (1, seen[1])):
+        ref, scale = _x_side_by_tau_loop(params, x[k])
+        assert got.keys() == ref.keys()
+        for mu, c in got.items():
+            bound = 2 * (len(partitions_of(sum(mu), n)) + sum(mu) + n) * np.finfo(float).eps
+            assert np.all(np.abs(c[:, 0] - ref[mu]) <= bound * scale[mu]), mu
 
 
 def _assert_matches_the_oracle(params, x, y):
@@ -714,11 +762,14 @@ def test_hyper_series_takes_one_point_each(x, y):
     ("n_vars", 2.5, "n_vars must be an integer >= 1"), ("n_vars", 0, "n_vars must be an integer"),
     ("max_degree", 2.5, "max_degree must be an integer >= 0"),
     ("max_degree", -1, "max_degree must be an integer"),
+    ("b", 0.0, r"b = 0\.0 is a pole .* row i = 1, k = 0$"),
+    ("b", 1.0, r"b = 1\.0 is a pole .* row i = 2, k = 0$"),
 ], ids=["alpha_nan", "alpha_inf", "alpha_0", "b_nan", "b_inf", "n_vars_2.5", "n_vars_0",
-        "max_degree_2.5", "max_degree_-1"])
+        "max_degree_2.5", "max_degree_-1", "b_pole_row_1", "b_pole_row_2"])
 def test_hyper_series_params_refuse_what_the_series_cannot_sum(field, value, message):
     # a NaN alpha or b used to give (nan, nan), alpha = inf a Pochhammer pole,
-    # and max_degree = 2.5 a bare TypeError inside the partition loop
+    # max_degree = 2.5 a bare TypeError inside the partition loop, and a b at
+    # a pole of (b)_tau a bare ZeroDivisionError from inside the series
     args = dict(alpha=1.0, n_vars=2, max_degree=4, b=None) | {field: value}
     with pytest.raises(ValueError, match=message):
         HyperSeriesParams(**args)

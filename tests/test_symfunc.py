@@ -102,17 +102,44 @@ def test_monomial_eval_matches_brute_force(case):
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
+def _powers(x, top, out):
+    """Fill out, shape (top + 1, n_vars) + x.shape[:-1], with the powers
+    x_k^e, e = 0..top, of x's columns by one chain of products
+    p_e = p_{e-1} * x, and return it."""
+    out[0] = 1.0
+    if top:
+        out[1] = np.moveaxis(x, -1, 0)
+    for e in range(2, top + 1):
+        np.multiply(out[e - 1], out[1], out=out[e])
+    return out
+
+
+def _monomial_from_powers(lam, powers):
+    """m_lambda from a table of _powers: the sum, over the exponent vectors a
+    of _exponents, of the products of the gathered rows powers[a_k, k]."""
+    total = np.zeros(powers.shape[2:])
+    for a in symfunc._exponents(lam, powers.shape[1]):
+        term = None
+        for k, e in enumerate(a):
+            if e:
+                term = powers[e, k] if term is None else term * powers[e, k]
+        total += powers[0, 0] if term is None else term  # None: the empty partition
+    return total
+
+
 def test_one_shared_power_table_matches_monomial_eval():
-    # one table of powers 0..12 serves every m_lam of weight <= 12 in 4
-    # variables with the bits of monomial_eval, whose own table stops at lam_1
+    # one table of powers 0..12 (_powers, _monomial_from_powers: the batched
+    # evaluator monomial_eval once had) gives every m_lam of weight <= 12 in
+    # 4 variables the bits of monomial_eval, on a batch and on one point
     rng = np.random.default_rng(23)
     for x in (rng.uniform(-1.3, 1.3, size=(2, 5, 4)), rng.uniform(-1.3, 1.3, size=4)):
-        powers = symfunc._powers(x, 12, np.empty((13, 4) + x.shape[:-1]))
+        powers = _powers(x, 12, np.empty((13, 4) + x.shape[:-1]))
         for w in range(13):
             for lam in partitions_of(w, 4):
-                got = symfunc._monomial_from_powers(lam, powers)
-                assert got.shape == x.shape[:-1]
-                assert np.all(got == monomial_eval(lam, x)), lam
+                want = _monomial_from_powers(lam, powers)
+                got = monomial_eval(lam, x)
+                assert np.shape(got) == want.shape == x.shape[:-1]
+                assert np.float64(got).tobytes() == want.tobytes(), lam
 
 
 @st.composite
