@@ -13,7 +13,7 @@ Every operation on a root system takes a RootSystemConfig; `hyper_series`
 is the generic series of two vector arguments and takes its own
 HyperSeriesParams.  Each fact that tells the types apart is stated once: the
 monomial-image prefactor in `_image_prefactor`, type B's lower parameter b
-in `_lower_param`, the squared kernel variables in `_kernel_shells`, and, in
+in `_lower_param`, the squared kernel variables in `_kernel_series`, and, in
 `rootsys`, the group order |W| (`weyl_order`) and the complement of the root
 span (`span_complement`).  Every series term carries the filter weight
 c_tau / (c'_tau (N/alpha)_tau [(b)_tau]) of `_tau_weight`, computed once per
@@ -22,6 +22,8 @@ series in `_series_shells`: monomial coefficients from the x side, two
 products per degree with the cached Jack triangle (`_jack_triangle`), then a
 nested Horner evaluation over the exponent vectors on blocks of y points,
 whose buffers (`_SERIES_BLOCK_ENTRIES`) are the series' one memory bound.
+The top shell, the truncation measure, is read at one x point and one y
+point from the same coefficients (`_last_shell`).
 """
 
 from __future__ import annotations
@@ -179,9 +181,11 @@ def linear_intertwiner(cfg: RootSystemConfig) -> np.ndarray:
 
     M = (1/(1 + beta gamma / d)) [ I + (beta gamma / d) P ], with d the root
     span dimension and P = rootsys.span_complement(cfg) the orthogonal
-    projector onto the complement of the root span.
+    projector onto the complement of the root span.  With no roots (type A,
+    N = 1, d = 0) beta gamma / d is taken as 0, and M is the identity.
     """
-    bg_d = cfg.beta * gamma(cfg) / rank(cfg)
+    d = rank(cfg)
+    bg_d = cfg.beta * gamma(cfg) / d if d else 0.0
     return (np.eye(cfg.n) + bg_d * span_complement(cfg)) / (1.0 + bg_d)
 
 
@@ -243,51 +247,29 @@ def _horner(keys, coeffs, budget, ys, bufs, level=0):
     return acc
 
 
-def _horner_top(keys, coeffs, budget, ys, bufs, power, level=0):
-    """As _horner over |a| = budget only, into bufs[level].  At the last two
-    variables (u, v) the sum is sum_e c_(e, budget - e) u^e v^(budget - e):
-    Horner steps in u, with v's powers one running product in power."""
-    acc, y = bufs[level], ys[level]
-    acc[...] = coeffs[_lead(keys[budget])]
-    if level == len(ys) - 1:  # one variable: c_budget y^budget
-        for _ in range(budget):
-            acc *= y
-        return acc
-    for e in range(budget - 1, -1, -1):
-        acc *= y
-        if level < len(ys) - 2:
-            acc += _horner_top(keys[e], coeffs, budget - e, ys, bufs, power, level + 1)
-        else:  # the last two variables
-            v = ys[level + 1]
-            if e == budget - 1:
-                power[...] = v
-            else:
-                power *= v
-            acc += np.multiply(power, coeffs[keys[e][budget - e]], out=bufs[level + 1])
-    return acc
-
-
 def _series_shells(params: HyperSeriesParams, x, ybatch):
-    """Sum and top shell of the series, vectorized over ybatch (..., N).
+    """Sum of the series, vectorized over ybatch (..., N), and its monomial
+    coefficients in y.
 
     shell_d = sum over |tau| = d of
         (c_tau / c'_tau) P_tau(x) P_tau(y) / ((N/alpha)_tau [(b)_tau]).
     x is one point (N,) or a stack of k points (k, N); the sum shell_0 + ...
-    + shell_D and shell_D each have shape x.shape[:-1] + ybatch.shape[:-1].
+    + shell_D has shape x.shape[:-1] + ybatch.shape[:-1].
     The x side runs first, degree by degree: with m the vector of m_mu(x)
     over the partitions mu of d (one monomial_eval call each), U the Jack
     triangle (`_jack_triangle`) and w the `_tau_weight`s, the monomial
     coefficients in y are c = U^T (w * (U m)), since U m lists the P_tau(x).
     A stack of x points takes one such pair of matrix-vector products per
     point, so each gets the bits it gets alone.  The y side is then the
-    polynomial sum_a c_sort(a) y^a over the exponent vectors a with |a| <= D
-    (the sum) and |a| = D (the top shell), evaluated by nested Horner steps
-    over the variables (`_horner`, `_horner_top`), with no table of powers.
-    The points go in blocks: the y columns, one (k, rows) buffer per
-    variable after the first and one running power, all in one reused buffer
-    of at most _SERIES_BLOCK_ENTRIES entries; the two results are written
+    polynomial sum_a c_sort(a) y^a over the exponent vectors a with |a| <= D,
+    evaluated by nested Horner steps over the variables (`_horner`), with no
+    table of powers.  The points go in blocks: the y columns and one (k, rows)
+    buffer per variable after the first, all in one reused buffer of at most
+    _SERIES_BLOCK_ENTRIES entries, n + k(n - 1) per point; the sum is written
     straight into the output.  Each point sees the same operations alone and
     in a batch, so it gets the same bits.
+    Returns (sum, coeffs): coeffs maps each partition mu with |mu| <= D to
+    c_mu, of shape (k, 1), which `_last_shell` reads.
     A last axis of x or of ybatch other than n_vars raises ValueError.
     """
     alpha, n, b, top = params.alpha, params.n_vars, params.b, params.max_degree
@@ -311,47 +293,57 @@ def _series_shells(params: HyperSeriesParams, x, ybatch):
     keys = _simplex_keys(n, top)
     ys = ybatch.reshape(-1, n)
     k, m = (1 if xs.ndim == 1 else len(xs)), len(ys)
-    out = np.empty((2, k, m))
-    per_row = n + 1 + k * (n - 1)  # y columns, running power, level buffers
+    out = np.empty((k, m))
+    per_row = n + k * (n - 1)  # y columns, level buffers
     rows = max(1, _SERIES_BLOCK_ENTRIES // per_row)
     buf = np.empty(per_row * min(rows, m))
     for lo in range(0, m, rows):
         h = min(rows, m - lo)
         cols = buf[:n * h].reshape(n, h)
         np.copyto(cols, ys[lo:lo + h].T)
-        power = buf[n * h:(n + 1) * h]
-        levels = list(buf[(n + 1) * h:per_row * h].reshape(n - 1, k, h))
-        total, last = out[:, :, lo:lo + h]
-        _horner(keys, coeffs, top, cols, [total] + levels)
-        _horner_top(keys, coeffs, top, cols, [last] + levels, power)
-    return tuple(out.reshape((2,) + x.shape[:-1] + ybatch.shape[:-1]))
+        levels = list(buf[n * h:per_row * h].reshape(n - 1, k, h))
+        _horner(keys, coeffs, top, cols, [out[:, lo:lo + h]] + levels)
+    return out.reshape(x.shape[:-1] + ybatch.shape[:-1]), coeffs
+
+
+def _last_shell(params: HyperSeriesParams, coeffs, y) -> float:
+    """Top shell of the series at one x point and one y point (N,): the sum
+    of c_mu m_mu(y) over the partitions mu of max_degree, in partition order,
+    with coeffs from `_series_shells` at that x point."""
+    total = 0.0
+    for mu in partitions_of(params.max_degree, params.n_vars):
+        total += coeffs[mu].item() * symfunc.monomial_eval(mu, y)
+    return total
 
 
 def hyper_series(params: HyperSeriesParams, x, y):
     """Truncated series value and the last-shell magnitude diagnostic.
 
     0F1 when params.b is set, 0F0 otherwise, at one point x and one point y,
-    each of shape (n_vars,); callers should treat a last shell above ~1e-8 of
-    the partial sum as unconverged.  It is an estimate, not a bound: where x
-    or y is a Weyl image of its own negative, every odd shell is 0.
+    each of shape (n_vars,); the last shell is read from the series' own
+    monomial coefficients (`_last_shell`).  Callers should treat a last shell
+    above ~1e-8 of the partial sum as unconverged.  It is an estimate, not a
+    bound: where x or y is a Weyl image of its own negative, every odd shell
+    is 0.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError(f"hyper_series takes one x point and one y point: x has shape "
                          f"{x.shape} and y has shape {y.shape}, in n_vars = {params.n_vars} "
                          "variables")
-    total, last = _series_shells(params, x, y)
-    return float(total), float(abs(last))
+    total, coeffs = _series_shells(params, x, y)
+    return float(total), abs(_last_shell(params, coeffs, y))
 
 
-def _kernel_shells(cfg: RootSystemConfig, x, y, max_degree: int):
-    """(|W|, series sum, top shell) of bessel_kernel(cfg, x, y); type B's
-    series runs in the squared variables x^2/2, y^2/2."""
+def _kernel_series(cfg: RootSystemConfig, x, y, max_degree: int):
+    """(params, x, y) of the series that bessel_kernel(cfg, x, y) sums and
+    multiplies by |W|; type B's series runs in the squared variables x^2/2,
+    y^2/2."""
     params = HyperSeriesParams(alpha=2.0 / cfg.beta, n_vars=cfg.n,
                                max_degree=max_degree, b=_lower_param(cfg))
     if cfg.kind == TYPE_B:
         x, y = x * x / 2.0, y * y / 2.0
-    return (weyl_order(cfg),) + _series_shells(params, x, y)
+    return params, x, y
 
 
 def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
@@ -363,8 +355,8 @@ def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pref, total, _ = _kernel_shells(cfg, x, y, max_degree)
-    out = pref * total
+    total, _ = _series_shells(*_kernel_series(cfg, x, y, max_degree))
+    out = weyl_order(cfg) * total
     return float(out) if out.ndim == 0 else out
 
 
@@ -415,22 +407,24 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
     log w(y/sqrt t) - (|y|^2+|x|^2)/2t - log c_beta - (N/2) log t
         + log( symmetrized kernel at (x, y/t) ).
 
-    A t outside (0, inf) raises ValueError; a truncated series that does not
-    sum to a positive value has no logarithm and raises ArithmeticError.
-    last_shell_ratio estimates the truncation error; it does not bound it.
+    x and y are single points of the system (`rootsys._point`).  A t outside
+    (0, inf) raises ValueError; a truncated series that does not sum to a
+    positive value has no logarithm and raises ArithmeticError.
+    last_shell_ratio, the top shell (`_last_shell`) over the sum, estimates
+    the truncation error; it does not bound it.
     At an odd max_degree it reads 0 where x or y is a Weyl image of its own
     negative (A3 beta=2, x = (-1, 0, 1), y = (-2, 0.5, 3), t = 0.5, degree 5:
     converged, and off by 1.33).
     """
     if not 0 < t < math.inf:
         raise ValueError(f"need 0 < t < inf, got t = {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pref, total, last = _kernel_shells(cfg, x, y / t, max_degree)
+    x, y = _point(cfg, x), _point(cfg, y)
+    params, xs, ys = _kernel_series(cfg, x, y / t, max_degree)
+    total, coeffs = _series_shells(params, xs, ys)
     total = float(total)
-    kern = pref * total
+    kern = weyl_order(cfg) * total
     # truncation diagnostic: relative size of the top degree shell
-    ratio = abs(float(last)) / max(abs(total), np.finfo(float).tiny)
+    ratio = abs(_last_shell(params, coeffs, ys)) / max(abs(total), np.finfo(float).tiny)
     if not kern > 0:
         raise ArithmeticError(f"the kernel series truncated at max_degree = {max_degree} sums "
                               f"to {total}, not a positive value (last-shell ratio {ratio:.3g})")
@@ -468,6 +462,9 @@ def sample_gaussian_weight(cfg: RootSystemConfig, n_samples: int, seed: int) -> 
     expectations such as kernel_reproducing_check are exact under the
     folded law.
     """
+    if not isinstance(n_samples, Integral) or n_samples < 0:
+        raise ValueError(f"n_samples = {n_samples}: the sampler needs an integer count "
+                         "of at least 0 samples")
     n = cfg.n
     rng = Generator(Philox(key=int(seed)))
     df = cfg.beta * np.arange(n - 1, 0, -1)
@@ -510,11 +507,10 @@ def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
     if not isinstance(n_samples, Integral) or n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: the standard error needs an integer count "
                          "of at least 2 samples")
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
+    y, z = _point(cfg, y), _point(cfg, z)
     xs = sample_gaussian_weight(cfg, n_samples, seed)
-    pref, total, _ = _kernel_shells(cfg, np.stack([y, z]), xs, max_degree)
-    k_y, k_z = np.multiply(pref, total, out=total)
+    total, _ = _series_shells(*_kernel_series(cfg, np.stack([y, z]), xs, max_degree))
+    k_y, k_z = np.multiply(weyl_order(cfg), total, out=total)
     vals = np.multiply(k_y, k_z, out=k_y)
     lhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))

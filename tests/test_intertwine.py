@@ -294,7 +294,7 @@ def test_kernel_degree_by_degree_expansion():
         y = rng.uniform(-0.9, 0.9, size=n)
         for deg in range(5):
             params = HyperSeriesParams(alpha=2.0 / beta, n_vars=n, max_degree=deg)
-            _, shell = intertwine._series_shells(params, x, y)
+            shell = intertwine._last_shell(params, intertwine._series_shells(params, x, y)[1], y)
             brute = 0.0
             for mu in partitions_of(deg, n):
                 fact = 1.0
@@ -303,8 +303,7 @@ def test_kernel_degree_by_degree_expansion():
                 vx = sympoly_eval(v_on_monomial(RootSystemConfig(TYPE_A, n, beta), mu), x)
                 brute += math.factorial(n) * monomial_eval(mu, y) * vx / (
                     fact * multinomial_m(mu, n))
-            assert float(shell) * math.factorial(n) == pytest.approx(brute, rel=1e-9,
-                                                                     abs=1e-12)
+            assert shell * math.factorial(n) == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
 
 def test_plain_exponential_symmetrization_expansion():
@@ -399,6 +398,8 @@ def test_linear_intertwiner():
     cfgb = RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5)
     mb = linear_intertwiner(cfgb)
     assert np.allclose(mb, np.eye(3) / (1 + cfgb.beta * gamma(cfgb) / 3))
+    # A1 has no roots, so every linear polynomial is fixed
+    assert np.array_equal(linear_intertwiner(RootSystemConfig(TYPE_A, 1, 2.0)), np.eye(1))
 
 
 def test_transition_density_n1_type_a_gaussian():
@@ -525,12 +526,14 @@ def test_series_shells_stacked_points_match_single_points():
     xs = rng.uniform(-0.8, 0.8, size=(2, 3))
     for b in (None, 2.3):
         params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=12, b=b)
-        stacked = intertwine._series_shells(params, xs, ys)
+        total, coeffs = intertwine._series_shells(params, xs, ys)
+        assert total.shape == (2, 500)
         for k in range(2):
-            single = intertwine._series_shells(params, xs[k], ys)
-            for got, want in zip(stacked, single):
-                assert got.shape == (2, 500)
-                assert np.array_equal(got[k], want)
+            single, single_coeffs = intertwine._series_shells(params, xs[k], ys)
+            assert np.array_equal(total[k], single)
+            assert coeffs.keys() == single_coeffs.keys()
+            for mu, c in coeffs.items():
+                assert np.array_equal(c[k], single_coeffs[mu][0])
 
 
 def _monomial_eval_by_chain(lam, x):
@@ -637,13 +640,21 @@ def _assert_matches_the_oracle(params, x, y):
     # Horner's rounding error on a degree-D polynomial is at most about 2D
     # roundings of the absolute series, and the oracle's is of the same
     # order: bound the gap by 2 (D + N) eps times the absolute series, not
-    # relative to the value, since the top shell cancels
-    total, last = intertwine._series_shells(params, x, y)
+    # relative to the value, since the top shell cancels.  The top shell is
+    # read at single points, from each x point's coefficients
+    total, coeffs = intertwine._series_shells(params, x, y)
     shells, absolute = _series_shells_by_monomial(params, x, y)
-    assert total.shape == last.shape == np.shape(x)[:-1] + np.shape(y)[:-1]
+    assert total.shape == np.shape(x)[:-1] + np.shape(y)[:-1]
     bound = 2 * (params.max_degree + params.n_vars) * np.finfo(float).eps
     assert np.all(np.abs(total - shells.sum(axis=0)) <= bound * absolute.sum(axis=0))
-    assert np.all(np.abs(last - shells[-1]) <= bound * absolute[-1])
+    n = params.n_vars
+    xs, ys = np.reshape(x, (-1, n)), np.reshape(y, (-1, n))
+    top, top_abs = shells[-1].reshape(len(xs), -1), absolute[-1].reshape(len(xs), -1)
+    for k in range(len(xs)):
+        at_x = {mu: c[k:k + 1] for mu, c in coeffs.items()}
+        for j in sorted({0, len(ys) // 2, len(ys) - 1}):
+            last = intertwine._last_shell(params, at_x, ys[j])
+            assert abs(last - top[k, j]) <= bound * top_abs[k, j]
 
 
 @pytest.mark.parametrize("degree", [0, 1, 18])
@@ -654,7 +665,7 @@ def test_blocked_y_side_matches_one_call_per_monomial(degree, b, x_shape):
     # 5 points, and a leading shape (a, b) whose rows straddle the blocks
     params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=degree, b=b)
     k = math.prod(x_shape[:-1])
-    rows = intertwine._SERIES_BLOCK_ENTRIES // (3 + 1 + 2 * k)
+    rows = intertwine._SERIES_BLOCK_ENTRIES // (3 + 2 * k)
     rng = np.random.default_rng(degree)
     x = rng.uniform(-0.8, 0.8, size=x_shape)
     for y_shape in [(3,), (rows, 3), (rows + 1, 3), (3 * rows + 5, 3), (3, rows // 2 + 1, 3)]:
@@ -686,38 +697,37 @@ def test_a_point_gets_the_same_series_bits_alone_and_in_a_batch(cfg, degree):
     assert np.array_equal(alone, batch)
     params = HyperSeriesParams(alpha=2.0 / cfg.beta, n_vars=3, max_degree=degree,
                                b=intertwine._lower_param(cfg))
-    total, last = intertwine._series_shells(params, x, ys)
-    alone = np.array([hyper_series(params, x, y) for y in ys])
-    assert np.array_equal(alone, np.stack([total, abs(last)], axis=1))
+    total, _ = intertwine._series_shells(params, x, ys)
+    alone = np.array([hyper_series(params, x, y)[0] for y in ys])
+    assert np.array_equal(alone, total)
 
 
 def test_horner_buffers_stay_within_the_block_budget(monkeypatch):
-    # the y columns, the running power and the level buffers of a D=30
-    # kernel on 65536 points fit the budget, and every block reuses one buffer
+    # the y columns and the level buffers of a D=30 kernel on 65536 points
+    # fit the budget, and every block reuses one buffer
     blocks = []
-    horner_top = intertwine._horner_top
+    horner = intertwine._horner
 
-    def recording(keys, coeffs, budget, ys, bufs, power, level=0):
+    def recording(keys, coeffs, budget, ys, bufs, level=0):
         if level == 0:
-            blocks.append((ys, bufs[1:], power))
-        return horner_top(keys, coeffs, budget, ys, bufs, power, level)
+            blocks.append((ys, bufs[1:]))
+        return horner(keys, coeffs, budget, ys, bufs, level)
 
-    monkeypatch.setattr(intertwine, "_horner_top", recording)
+    monkeypatch.setattr(intertwine, "_horner", recording)
     rng = np.random.default_rng(30)
     ys = rng.uniform(-0.6, 0.6, size=(65536, 3))
     bessel_kernel(RootSystemConfig(TYPE_A, 3, 2.0), np.array([-0.3, 0.1, 0.4]), ys,
                   max_degree=30)
-    rows = intertwine._SERIES_BLOCK_ENTRIES // (3 + 1 + 2)
+    rows = intertwine._SERIES_BLOCK_ENTRIES // (3 + 2)
     assert len(blocks) == -(-65536 // rows) > 1
     first = blocks[0][0]
-    for cols, levels, power in blocks:
-        assert cols.size + power.size + sum(b.size for b in levels) <= (
-            intertwine._SERIES_BLOCK_ENTRIES)
-        assert all(np.shares_memory(a, first.base) for a in (cols, power, *levels))
+    for cols, levels in blocks:
+        assert cols.size + sum(b.size for b in levels) <= intertwine._SERIES_BLOCK_ENTRIES
+        assert all(np.shares_memory(a, first.base) for a in (cols, *levels))
 
 
 def test_kernel_series_memory_does_not_grow_with_the_degree():
-    # the series keeps only its sum and top shell per point: a D=30 kernel on
+    # the series keeps only its sum per point: a D=30 kernel on
     # 65536 points (0.5 MB per value) traces under 4 MB, where one shell per
     # degree per point would take 16 MB
     cfg = RootSystemConfig(TYPE_A, 3, 2.0)
@@ -808,3 +818,16 @@ def test_kernel_reproducing_check_needs_two_samples(n_samples):
     with pytest.raises(ValueError, match=f"n_samples = {n_samples}: .*at least 2"):
         kernel_reproducing_check(RootSystemConfig(TYPE_A, 2, 2.0), [0.2, 0.5], [-0.4, 0.1],
                                  n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n_samples", [-1, 2.5, np.float64(3.0)])
+def test_sample_gaussian_weight_refuses_a_bad_count(n_samples):
+    with pytest.raises(ValueError, match=f"n_samples = {n_samples}: .*integer count"):
+        sample_gaussian_weight(RootSystemConfig(TYPE_A, 2, 2.0), n_samples, seed=0)
+
+
+@pytest.mark.parametrize("cfg", [RootSystemConfig(TYPE_A, 3, 2.0),
+                                 RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5)], ids=["A3", "B3"])
+def test_sample_gaussian_weight_takes_zero_samples(cfg):
+    xs = sample_gaussian_weight(cfg, np.int64(0), seed=0)
+    assert xs.shape == (0, 3)

@@ -340,9 +340,15 @@ _X3 = [-1.0, 0.0, 1.0]
     lambda v: intertwine.frozen_kernel(_CFG_A3, v, _X3),
     lambda v: intertwine.frozen_kernel(_CFG_A3, _X3, v),
     lambda v: weyl_orbit(_CFG_A3, v),
+    lambda v: intertwine.radial_transition_logdensity(_CFG_A3, 0.5, _X3, v),
+    lambda v: intertwine.radial_transition_logdensity(_CFG_A3, 0.5, v, _X3),
+    lambda v: intertwine.kernel_reproducing_check(_CFG_A3, v, _X3, n_samples=4),
+    lambda v: intertwine.kernel_reproducing_check(_CFG_A3, _X3, v, n_samples=4),
 ], ids=["steady_state_logdensity", "gaussian_steady_approx", "euler_step_positions",
-        "euler_step_noise", "frozen_kernel_x", "frozen_kernel_y", "weyl_orbit"])
-@pytest.mark.parametrize("v", [[-1.0, 0.0, 1.0, 5.0], [-1.0, 1.0]], ids=["longer", "shorter"])
+        "euler_step_noise", "frozen_kernel_x", "frozen_kernel_y", "weyl_orbit",
+        "transition_x", "transition_y", "reproducing_check_y", "reproducing_check_z"])
+@pytest.mark.parametrize("v", [[-1.0, 0.0, 1.0, 5.0], [-1.0, 1.0], [[-1.0, 0.0, 1.0]] * 2],
+                         ids=["longer", "shorter", "batched"])
 def test_a_point_of_the_wrong_length_is_refused(call, v):
     with pytest.raises(ValueError, match="wrong length"):
         call(np.array(v))
