@@ -84,8 +84,12 @@ def _parse_bins(spec):
         lo, hi, width = (float(p) for p in spec.split(":"))
     except ValueError:
         _usage_error("--bins needs lo:hi:width")
+    if not all(math.isfinite(v) for v in (lo, hi, width)):
+        _usage_error(f"--bins needs finite lo, hi and width, got {spec}")
     if width <= 0 or lo >= hi:
         _usage_error("--bins needs lo < hi and width > 0")
+    if not math.isfinite((hi - lo) / width):
+        _usage_error(f"--bins needs a finite bin count, {spec} has none")
     if round((hi - lo) / width) < 1:
         _usage_error(f"--bins needs lo:hi:width with at least one bin, {spec} has none")
     return lo, hi, width

@@ -11,16 +11,20 @@ process, so projecting the numerical path is consistent with the model.
 
 A batch of m paths is held particle-major, as an array of shape (N, m)
 with one contiguous row per particle (`_Batch`).  The drift is taken one
-row j at a time: all roots of that row form one block of reciprocals, which
-is summed into b_j and subtracted from (or, for e_j + e_i, added to) the
-rows below, so every b_k accumulates its roots in the root table's order.
-One routine, `_Batch.step`, takes the step x += b h + sqrt(h) noise^T and
-projects; the ensemble, the noise-free schedule path, `euler_step` and
-`drift` (m = 1) all go through it.  The projection re-sorts only the paths
-that left the chamber: after the absolute value (type B) it flags the
-columns with a descent, a tie or a zero, then sorts and unties those alone,
-which is bit-identical to sorting every path on every step.  The
-projection's reflection at 0 is read from the coordinate roots.
+row j at a time, as one (j, m) block for both types: 1/(x_j - x_i) over
+i < j, or for type B, whose roots e_j - e_i and e_j + e_i give a pair the
+term 2 x_j / ((x_j - x_i)(x_j + x_i)), 1/((x_j - x_i)(x_j + x_i)).  The
+block is summed into S_j and subtracted from the rows below, so every S_k
+accumulates its pairs in the root table's order; then b = (beta/2) S, or
+for type B b = beta (x S + (kappa/2) / x), kappa = nu + 1/2 from the
+coordinate roots.  One routine, `_Batch.step`, takes the step
+x += b h + sqrt(h) noise^T and projects; the ensemble, the noise-free
+schedule path, `euler_step` and `drift` (m = 1) all go through it.  The
+projection re-sorts only the paths that left the chamber: after the
+absolute value (type B) it flags the columns with a descent, a tie or a
+zero, then sorts and unties those alone, which is bit-identical to sorting
+every path on every step.  The projection's reflection at 0 is read from
+the coordinate roots.
 
 The step dt of a plan is the largest step.  Near a stiff start, where
 particles begin close together (or, for type B, close to the origin), the
@@ -89,21 +93,31 @@ class InitStats:
     variance_total: float = 0.0
 
     def __post_init__(self):
-        if self.variance_total < 0:
-            raise ValueError("variance must be nonnegative")
+        if not 0 <= self.variance_total < math.inf:
+            raise ValueError(f"variance must be finite and nonnegative, got {self.variance_total}")
+        if not np.all(np.isfinite(np.asarray(self.mean, dtype=float))):
+            raise ValueError("mean must be finite")
 
 
 def relaxation_bound(stats: InitStats, beta: float) -> float:
     """Time scale after which the scaled law is near the steady state:
-    (s^2 + |mean|^2) * max(1, beta)."""
+    (s^2 + |mean|^2) * max(1, beta), for beta in (0, inf)."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     mean = np.asarray(stats.mean, dtype=float)
     return (stats.variance_total + float(mean @ mean)) * max(1.0, beta)
 
 
 def drift(cfg: RootSystemConfig, x) -> np.ndarray:
-    """SDE drift at a single interior configuration."""
+    """SDE drift at a single interior configuration; FloatingPointError where
+    it is not finite."""
     chamber_dot(cfg, x)
-    return _Batch(cfg, np.asarray(x, dtype=float).reshape(-1, 1)).drift()[:, 0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        b = _Batch(cfg, np.asarray(x, dtype=float).reshape(-1, 1)).drift()[:, 0]
+    if not np.all(np.isfinite(b)):
+        raise FloatingPointError("drift: the drift overflows; "
+                                 "the point is too close to a chamber wall")
+    return b
 
 
 class _Batch:
@@ -111,8 +125,11 @@ class _Batch:
     per particle, with the buffers that its Euler–Maruyama step reuses.
 
     The step x += b h + sqrt(h) noise^T rounds exactly as the same step
-    written on (m, N) rows: the drift b sums the root table in its order,
-    and b h and sqrt(h) noise are formed before they are added to x.
+    written on (m, N) rows: the drift b sums its pairs in the root table's
+    order, and b h and sqrt(h) noise are formed before they are added to x.
+    Row j's pair block, and for type B a second one for x_j + x_i, are
+    (j, w) slices of one buffer of the largest row's size, whose first N
+    rows also hold kappa / 2x, so the drift adds no other buffer.
     bias accumulates sum_k |h_k b(X_k)|^2 per path, summed particle by particle.
     """
 
@@ -127,41 +144,47 @@ class _Batch:
         self.b = np.empty((n, w))
         t = root_table(cfg)
         # The table lists the pair roots row by row, j = 1..N-1 and i < j in
-        # order (e_j - e_i, then e_j + e_i where the table mirrors), and the
-        # coordinate roots e_j last, each with one kappa.
-        self._mirror = bool(np.any(t.s > 0))
-        blk = np.empty((max(n - 1, 1), 1 + self._mirror, w))  # the largest row's 1/(alpha . x)
+        # order (e_j - e_i, then e_j + e_i where the e_j are roots too), and
+        # the coordinate roots e_j last, each with one kappa.
         coord = t.s == 0  # roots e_j: 0 < x_1 < ... < x_N, reflect at 0
+        blk = np.empty((1 + bool(coord.any()), max(n - 1, 1), w))  # the largest row's blocks
         self._coord = None
-        if coord.any():  # kappa / x_j, formed in the block's first N rows
-            self._coord = t.kappa[coord][:, None], blk.reshape(-1, w)[:n]
+        if coord.any():
+            self._coord = t.kappa[coord][:, None] / 2.0, blk.reshape(-1, w)[:n]
         self._walls = np.empty((n - 1 + bool(self._coord), m), dtype=bool)  # a row per wall
         self._ok = np.empty(m, dtype=bool)
-        self._rows = [(x[j], x[:j], blk[:j], blk[:j].reshape(-1, w), self.b[j], self.b[:j])
+        self._rows = [(x[j], x[:j], blk[0, :j], blk[-1, :j], self.b[j], self.b[:j])
                       for j in range(1, n)]
 
     def drift(self):
         """The drift of x, as a view of self.b of x's shape; no domain checks.
 
-        Row j takes its roots as one block, 1/(x_j - x_i) and 1/(x_j + x_i)
-        interleaved in the table's order, sums the block into b_j, then
-        updates b_i for i < j: each b_k accumulates its roots in table order.
+        Row j takes its pair roots as one (j, w) block: x_j - x_i, or where
+        the e_j are roots, and with them both e_j - e_i and e_j + e_i, the
+        product (x_j - x_i)(x_j + x_i).  The block's reciprocals are summed
+        into S_j and subtracted from S_i for i < j, so every S_k accumulates
+        its pairs in table order.  Then b = (beta/2) S, or with the e_j
+        b = beta (x S + (kappa/2) / x), as the two roots of a pair give
+        1/(x_j - x_i) + 1/(x_j + x_i) = 2 x_j / ((x_j - x_i)(x_j + x_i)).
+        The product is never formed as x_j^2 - x_i^2, which rounds to 0 at
+        a gap of one ulp.
         """
-        b, m = self.b, self.x.shape[1]
+        b, x, m = self.b, self.x, self.x.shape[1]
         b[0] = 0.0
-        for xj, xlo, blk, flat, bj, blo in self._rows:
-            np.subtract(xj, xlo, out=blk[:, 0])
-            if self._mirror:
-                np.add(xj, xlo, out=blk[:, 1])
+        for xj, xlo, blk, plus, bj, blo in self._rows:
+            np.subtract(xj, xlo, out=blk)
+            if self._coord:
+                np.multiply(blk, np.add(xj, xlo, out=plus), out=blk)
             np.divide(1.0, blk, out=blk)
-            np.add.reduce(flat, axis=0, out=bj)
-            blo -= blk[:, 0]
-            if self._mirror:
-                blo += blk[:, 1]
+            np.add.reduce(blk, axis=0, out=bj)
+            blo -= blk
         if self._coord:
-            kappa, buf = self._coord
-            b += np.divide(kappa, self.x, out=buf)
-        b *= self.cfg.beta / 2.0
+            half_kappa, buf = self._coord
+            b *= x
+            b += np.divide(half_kappa, x, out=buf)
+            b *= self.cfg.beta
+        else:
+            b *= self.cfg.beta / 2.0
         return b[:, :m]
 
     def step(self, h, noise=None):
@@ -210,7 +233,7 @@ class _Batch:
 
 def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) -> ParticleState:
     """One Euler–Maruyama step from an interior point, then the chamber projection."""
-    chamber_dot(cfg, state.positions)
+    drift(cfg, state.positions)  # the chamber gate, and a finite drift
     noise = _point(cfg, noise)
     if not np.all(np.isfinite(noise)):
         raise ValueError("noise must be finite")
@@ -374,11 +397,16 @@ def scaled_histogram(finals, scale_factor: float, lo: float, hi: float,
 
     Out-of-range coordinates land in the underflow/overflow counters, so
     sum(counts)/(n_paths*bin_width) integrates to N up to that loss; a NaN
-    or infinite coordinate raises ValueError.
+    or infinite coordinate raises ValueError, as do non-finite bounds.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(bin_width)):
+        raise ValueError(f"need finite lo, hi and bin width, got {lo}, {hi}, {bin_width}")
     if bin_width <= 0 or lo >= hi:
         raise ValueError("need bin_width > 0 and lo < hi")
-    n_bins = int(round((hi - lo) / bin_width))
+    n_bins = (hi - lo) / bin_width
+    if not math.isfinite(n_bins):
+        raise ValueError(f"bin width {bin_width} gives no finite bin count in [{lo}, {hi}]")
+    n_bins = int(round(n_bins))
     if n_bins < 1:
         raise ValueError(f"bin width {bin_width} leaves no bin in [{lo}, {hi}]")
     if not 0 < scale_factor < math.inf:  # else inf/NaN would count as underflow

@@ -129,6 +129,20 @@ def test_simulate_bad_bins_is_usage_error(tmp_path, capsys):
         assert f"error: --bins needs {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("nan:4:0.01", "finite lo, hi and width"), ("-4:inf:0.01", "finite lo, hi and width"),
+    ("-4:4:nan", "finite lo, hi and width"), ("-inf:4:0.1", "finite lo, hi and width"),
+    ("0:1e300:1e-300", "a finite bin count"),  # (hi - lo) / width is inf
+])
+def test_simulate_non_finite_bins_is_usage_error(spec, message, tmp_path, capsys):
+    # each exited 3 with "cannot convert float NaN/infinity to integer"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--type", "A", "--n", "2", "--t", "0.1", "--init", "0,1",
+              f"--bins={spec}", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"error: --bins needs {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, options", [
     (["simulate", "--type", "B", "--n", "2", "--nu", "-1", "--t", "0.1"], ["--nu"]),
     (["simulate", "--type", "A", "--n", "0", "--t", "0.1"], ["--n"]),

@@ -3,6 +3,7 @@ import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,31 @@ CFG_A2 = RootSystemConfig(TYPE_A, 2, 2.0)
 
 
 def _drift_by_pairs(cfg, x):
-    """The pair-loop drift that the root-table pass replaced, kept as its oracle."""
+    """The pair-loop drift that the root-table pass replaced, kept as its
+    oracle.  Type B takes each pair e_i - e_j, e_i + e_j as one reciprocal:
+    b = beta (x S + ((nu + 1/2) / 2) / x), S_i the sum over j of
+    1/((x_i - x_j)(x_i + x_j))."""
+    n = cfg.n
+    out = np.zeros_like(x)
+    for i in range(n):
+        for j in range(i):
+            if cfg.kind == TYPE_B:
+                inv = 1.0 / ((x[:, i] - x[:, j]) * (x[:, i] + x[:, j]))
+            else:
+                inv = 1.0 / (x[:, i] - x[:, j])
+            out[:, i] += inv
+            out[:, j] -= inv
+    if cfg.kind == TYPE_B:
+        out *= x
+        out += ((cfg.nu + 0.5) / 2.0) / x
+        return cfg.beta * out
+    return cfg.beta / 2.0 * out
+
+
+def _drift_by_two_reciprocals(cfg, x):
+    """The pair loop with type B's two roots of a pair taken as two
+    reciprocals, 1/(x_i - x_j) and 1/(x_i + x_j): the form that the folded
+    pair replaced, kept as its accuracy reference."""
     n = cfg.n
     b_half = cfg.beta / 2.0
     out = np.zeros_like(x)
@@ -46,21 +71,26 @@ def _drift_by_pairs(cfg, x):
 def _drift_rows(cfg, x):
     """The drift on paths held as rows, shape (m, N), one pass over the root
     table: the (m, N) layout that the particle-major batch replaced, kept as
-    its oracle."""
+    its oracle.  Where the e_j are roots, the pair e_j - e_i, e_j + e_i is
+    one reciprocal 1/((x_j - x_i)(x_j + x_i)), as in _drift_by_pairs."""
     t = root_table(cfg)
+    folded = cfg.kind == TYPE_B
     out = np.zeros_like(x)
-    for i, j, s, k in zip(t.i.tolist(), t.j.tolist(), t.s.tolist(), t.kappa.tolist()):
+    for i, j, s in zip(t.i.tolist(), t.j.tolist(), t.s.tolist()):
         if s < 0:
-            g = 1.0 / (x[:, j] - x[:, i])
+            g = x[:, j] - x[:, i]
+            if folded:
+                g = g * (x[:, j] + x[:, i])
+            g = 1.0 / g
             out[:, j] += g
             out[:, i] -= g
-        elif s > 0:
-            g = 1.0 / (x[:, j] + x[:, i])
-            out[:, j] += g
-            out[:, i] += g
-        else:
-            out[:, j] += k / x[:, j]
-    return cfg.beta / 2.0 * out
+    if not folded:
+        return cfg.beta / 2.0 * out
+    out *= x
+    for j, s, k in zip(t.j.tolist(), t.s.tolist(), t.kappa.tolist()):
+        if s == 0:
+            out[:, j] += (k / 2.0) / x[:, j]
+    return cfg.beta * out
 
 
 def _project_rows(cfg, x):
@@ -195,6 +225,62 @@ def test_row_blocked_drift_matches_pair_loop_on_few_paths(cfg, m):
     assert np.array_equal(sde._Batch(cfg, np.ascontiguousarray(x.T)).drift().T, ref)
     if m == 1:
         assert np.array_equal(drift(cfg, x[0]), ref[0])
+
+
+def _exact_drift(cfg, x):
+    """The type-B drift at one point summed root by root in exact rationals,
+    and each particle's sum of its terms' magnitudes."""
+    half = Fraction(cfg.beta) / 2
+    xs = [Fraction(v) for v in x]
+    exact, size = [], []
+    for k, xk in enumerate(xs):
+        terms = [(Fraction(cfg.nu) + Fraction(1, 2)) / xk]
+        for i, xi in enumerate(xs):
+            if i != k:
+                terms += [1 / (xk - xi), 1 / (xk + xi)]
+        exact.append(half * sum(terms))
+        size.append(half * sum(abs(t) for t in terms))
+    return exact, size
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u): k roundings of unit roundoff u = eps/2."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("n", [2, 7, 32])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1e4])
+def test_folded_drift_is_within_its_rounding_bound(n, nu):
+    # Errors against exact rationals, in units of eps times the sum of the
+    # magnitudes of the per-root terms (beta/2)(1/(x_k -+ x_i) and kappa/x_k).
+    # The folded pair takes 4 roundings, its sum N - 2, then x S, kappa/2x,
+    # their sum and beta 4 more: gamma_(N+5), as 2 x_k / ((x_k - x_i)(x_k + x_i))
+    # is the sum of the pair's two terms.  The two-reciprocal form takes 2 a
+    # term, 2N - 2 to sum them and one for beta/2: gamma_(2N+1).  The folded
+    # form is also held to 4 eps, which the two-reciprocal form exceeds at
+    # N = 32 (5.3 eps here, against the fold's 3.1).
+    cfg = RootSystemConfig(TYPE_B, n, 3.7, nu=nu)
+    rng = np.random.default_rng(n)
+    x = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(10.0), (64, n))), axis=1)
+    folded = sde._Batch(cfg, np.ascontiguousarray(x.T)).drift().T
+    two = _drift_by_two_reciprocals(cfg, x)
+    err = {"folded": [], "two": []}
+    for p in range(len(x)):
+        exact, size = _exact_drift(cfg, x[p])
+        for k in range(n):
+            unit = np.finfo(float).eps * float(size[k])
+            err["folded"].append(float(abs(Fraction(folded[p, k]) - exact[k])) / unit)
+            err["two"].append(float(abs(Fraction(two[p, k]) - exact[k])) / unit)
+    eps = np.finfo(float).eps
+    assert max(err["folded"]) <= min(4.0, _gamma(n + 5) / eps)
+    assert max(err["two"]) <= _gamma(2 * n + 1) / eps
+    if n > 2:
+        # with several pairs the lower particle's two reciprocals cancel, and
+        # the fold's worst case is no worse; with one pair the fold's extra
+        # roundings of the product and of x S leave it at 1.19 eps, the two
+        # reciprocals at 0.94 eps
+        assert max(err["folded"]) <= max(err["two"])
 
 
 _ONE_TILE_CASES = [
@@ -451,6 +537,20 @@ def test_relaxation_bound_values():
                             0.25) == 5.0
 
 
+def test_relaxation_bound_refuses_what_makes_it_meaningless():
+    # a NaN beta gave 1.0 through max(1.0, nan), and a NaN variance a NaN bound
+    stats = InitStats(mean=np.array([0.0, 1.0]))
+    for beta in (math.nan, math.inf, 0.0, -2.0):
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            relaxation_bound(stats, beta)
+    for variance in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="variance must be finite and nonnegative"):
+            InitStats(mean=np.zeros(2), variance_total=variance)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            InitStats(mean=np.array([0.0, bad]))
+
+
 def test_drift_hand_values():
     # type A, (0,1), beta=2: pair term 1/(x_i - x_j)
     d = drift(CFG_A2, np.array([0.0, 1.0]))
@@ -459,6 +559,9 @@ def test_drift_hand_values():
     cfgb = RootSystemConfig(TYPE_B, 1, 3.0, nu=0.5)
     db = drift(cfgb, np.array([2.0]))
     assert db[0] == pytest.approx(3.0 * 2.0 / (4 * 2.0))
+    # type B, (1, 2), beta=2, nu=0.5: (-1/(2-1) + 1/(2+1) + 1/1, 1 + 1/3 + 1/2)
+    db = drift(RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5), np.array([1.0, 2.0]))
+    assert list(db) == pytest.approx([1 / 3, 11 / 6], rel=1e-15)
     with pytest.raises(ValueError, match="not strictly inside the Weyl chamber"):
         drift(CFG_A2, np.array([1.0, 1.0]))
 
@@ -479,6 +582,29 @@ def test_euler_step_refuses_a_point_off_the_chamber_interior():
     for x in ([1.0, 1.0, 2.0], [2.0, 1.0, 0.0]):
         with pytest.raises(ValueError, match="not strictly inside the Weyl chamber"):
             euler_step(cfg, ParticleState(positions=np.array(x), time=0.0), 0.01, np.zeros(3))
+
+
+@pytest.mark.parametrize("cfg, x", [
+    (RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5), [1e-320, 2e-320]),  # was [nan, inf]
+    (CFG_A2, [0.0, 5e-324]),  # was [-inf, inf]
+    # the pair's product (x_2 - x_1)(x_2 + x_1) underflows below about 1e-154
+    (RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5), [1e-300, 2e-300]),
+], ids=["B2_subnormal", "A2_subnormal_gap", "B2_product_underflow"])
+def test_a_point_whose_drift_is_not_finite_is_refused(cfg, x):
+    with pytest.raises(FloatingPointError, match="the drift overflows; the point is too close"):
+        drift(cfg, np.array(x))
+    state = ParticleState(positions=np.array(x), time=0.0)
+    with pytest.raises(FloatingPointError, match="the drift overflows; the point is too close"):
+        euler_step(cfg, state, 0.01, np.zeros(2))
+
+
+def test_drift_stays_finite_above_the_product_edge():
+    # (-1/2e-150 + 1/4e-150 + 1/1e-150, 1/2e-150 + 1/4e-150 + 1/3e-150)
+    cfg = RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5)
+    x = np.array([1e-150, 3e-150])
+    assert list(drift(cfg, x)) == pytest.approx([0.75e150, 13 / 12 * 1e150], rel=1e-15)
+    out = euler_step(cfg, ParticleState(positions=x, time=0.0), 1e-300, np.zeros(2))
+    assert np.all(np.isfinite(out.positions))
 
 
 def test_euler_step_refuses_non_finite_noise():
@@ -606,6 +732,19 @@ def test_partial_final_step_lands_on_t_final():
                    n_paths=4096, seed=5, initial=(0.0,))
     fin = simulate_paths(plan)
     assert fin.var() == pytest.approx(1.0, rel=0.08)  # variance t = 1 exactly
+
+
+@pytest.mark.parametrize("lo, hi, width, message", [
+    (math.nan, 4.0, 0.01, "finite lo, hi and bin width"),
+    (-4.0, math.inf, 0.01, "finite lo, hi and bin width"),
+    (-4.0, 4.0, math.nan, "finite lo, hi and bin width"),
+    (-math.inf, 4.0, 0.1, "finite lo, hi and bin width"),
+    (0.0, 1e300, 1e-300, "bin width 1e-300 gives no finite bin count"),
+])
+def test_scaled_histogram_refuses_non_finite_bounds(lo, hi, width, message):
+    # each raised "cannot convert float NaN/infinity to integer"
+    with pytest.raises(ValueError, match=message):
+        scaled_histogram([[0.5, 1.0]], 1.0, lo, hi, width)
 
 
 def test_scaled_histogram_bookkeeping():
