@@ -22,8 +22,8 @@ series in `_series_shells`: monomial coefficients from the x side, two
 products per degree with the cached Jack triangle (`_jack_triangle`), then a
 nested Horner evaluation over the exponent vectors on blocks of y points,
 whose buffers (`_SERIES_BLOCK_ENTRIES`) are the series' one memory bound.
-The top shell, the truncation measure, is read at one x point and one y
-point from the same coefficients (`_last_shell`).
+The series takes one x point; it also hands back its top shell, the
+truncation measure, as a monomial-basis SymPoly from the same coefficients.
 """
 
 from __future__ import annotations
@@ -248,80 +248,71 @@ def _horner(keys, coeffs, budget, ys, bufs, level=0):
 
 
 def _series_shells(params: HyperSeriesParams, x, ybatch):
-    """Sum of the series, vectorized over ybatch (..., N), and its monomial
-    coefficients in y.
+    """Sum of the series at one x point (N,), vectorized over ybatch (..., N),
+    and its top shell as a polynomial in y.
 
     shell_d = sum over |tau| = d of
         (c_tau / c'_tau) P_tau(x) P_tau(y) / ((N/alpha)_tau [(b)_tau]).
-    x is one point (N,) or a stack of k points (k, N); the sum shell_0 + ...
-    + shell_D has shape x.shape[:-1] + ybatch.shape[:-1].
+    The sum shell_0 + ... + shell_D has shape ybatch.shape[:-1].
     The x side runs first, degree by degree: with m the vector of m_mu(x)
     over the partitions mu of d (one monomial_eval call each), U the Jack
     triangle (`_jack_triangle`) and w the `_tau_weight`s, the monomial
     coefficients in y are c = U^T (w * (U m)), since U m lists the P_tau(x).
-    A stack of x points takes one such pair of matrix-vector products per
-    point, so each gets the bits it gets alone.  The y side is then the
-    polynomial sum_a c_sort(a) y^a over the exponent vectors a with |a| <= D,
-    evaluated by nested Horner steps over the variables (`_horner`), with no
-    table of powers.  The points go in blocks: the y columns and one (k, rows)
-    buffer per variable after the first, all in one reused buffer of at most
-    _SERIES_BLOCK_ENTRIES entries, n + k(n - 1) per point; the sum is written
-    straight into the output.  Each point sees the same operations alone and
-    in a batch, so it gets the same bits.
-    Returns (sum, coeffs): coeffs maps each partition mu with |mu| <= D to
-    c_mu, of shape (k, 1), which `_last_shell` reads.
-    A last axis of x or of ybatch other than n_vars raises ValueError.
+    The y side is then the polynomial sum_a c_sort(a) y^a over the exponent
+    vectors a with |a| <= D, evaluated by nested Horner steps over the
+    variables (`_horner`), with no table of powers.  The points go in
+    blocks: the y columns and one buffer per variable after the first, all
+    in one reused buffer of at most _SERIES_BLOCK_ENTRIES entries, 2n - 1
+    per point; the sum is written straight into the output.  Each point sees
+    the same operations alone and in a batch, so it gets the same bits.
+    Returns (sum, top): top is the monomial-basis SymPoly of shell_D, the
+    sum of c_mu m_mu over the partitions mu of D.
+    An x of any shape but (n_vars,), a last axis of ybatch other than
+    n_vars, or a non-finite coordinate raises ValueError.
     """
     alpha, n, b, top = params.alpha, params.n_vars, params.b, params.max_degree
     x = np.asarray(x, dtype=float)
     ybatch = np.asarray(ybatch, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x has shape {x.shape}, but the series takes one x point of shape "
+                         f"({n},), in n_vars = {n} variables")
+    if ybatch.shape[-1:] != (n,):
+        raise ValueError(f"y has shape {ybatch.shape}, but the series is in n_vars = {n} "
+                         f"variables: its last axis must have length {n}")
     for name, pts in (("x", x), ("y", ybatch)):
-        if pts.shape[-1:] != (n,):
-            raise ValueError(f"{name} has shape {pts.shape}, but the series is in "
-                             f"n_vars = {n} variables: its last axis must have length {n}")
-    xs = x if x.ndim == 1 else x.reshape(-1, n)
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{name} has a non-finite coordinate: the series sums at "
+                             "finite points only")
     coeffs: dict = {}
     for d in range(top + 1):
         taus = partitions_of(d, n)
         u = _jack_triangle(d, alpha, n)
         w = np.array([_tau_weight(tau, alpha, n, b) for tau in taus])
-        m = np.array([symfunc.monomial_eval(mu, xs) for mu in taus]).reshape(len(taus), -1)
-        # one pair of matrix-vector products per x point (a matrix product
-        # need not round as they do); c[mu] is (k, 1), spanning k rows of a block
-        c = np.stack([u.T @ (w * (u @ mj)) for mj in np.ascontiguousarray(m.T)], axis=1)
-        coeffs.update(zip(taus, c[:, :, None]))
+        m_x = np.array([symfunc.monomial_eval(mu, x) for mu in taus])
+        shell = dict(zip(taus, (u.T @ (w * (u @ m_x))).tolist()))
+        coeffs.update(shell)
     keys = _simplex_keys(n, top)
     ys = ybatch.reshape(-1, n)
-    k, m = (1 if xs.ndim == 1 else len(xs)), len(ys)
-    out = np.empty((k, m))
-    per_row = n + k * (n - 1)  # y columns, level buffers
+    m = len(ys)
+    out = np.empty(m)
+    per_row = 2 * n - 1  # y columns, level buffers
     rows = max(1, _SERIES_BLOCK_ENTRIES // per_row)
     buf = np.empty(per_row * min(rows, m))
     for lo in range(0, m, rows):
         h = min(rows, m - lo)
         cols = buf[:n * h].reshape(n, h)
         np.copyto(cols, ys[lo:lo + h].T)
-        levels = list(buf[n * h:per_row * h].reshape(n - 1, k, h))
-        _horner(keys, coeffs, top, cols, [out[:, lo:lo + h]] + levels)
-    return out.reshape(x.shape[:-1] + ybatch.shape[:-1]), coeffs
-
-
-def _last_shell(params: HyperSeriesParams, coeffs, y) -> float:
-    """Top shell of the series at one x point and one y point (N,): the sum
-    of c_mu m_mu(y) over the partitions mu of max_degree, in partition order,
-    with coeffs from `_series_shells` at that x point."""
-    total = 0.0
-    for mu in partitions_of(params.max_degree, params.n_vars):
-        total += coeffs[mu].item() * symfunc.monomial_eval(mu, y)
-    return total
+        levels = list(buf[n * h:per_row * h].reshape(n - 1, h))
+        _horner(keys, coeffs, top, cols, [out[lo:lo + h]] + levels)
+    return out.reshape(ybatch.shape[:-1]), SymPoly("monomial", shell, n)
 
 
 def hyper_series(params: HyperSeriesParams, x, y):
     """Truncated series value and the last-shell magnitude diagnostic.
 
     0F1 when params.b is set, 0F0 otherwise, at one point x and one point y,
-    each of shape (n_vars,); the last shell is read from the series' own
-    monomial coefficients (`_last_shell`).  Callers should treat a last shell
+    each of shape (n_vars,); the last shell is the series' own top shell
+    evaluated at y.  Callers should treat a last shell
     above ~1e-8 of the partial sum as unconverged.  It is an estimate, not a
     bound: where x or y is a Weyl image of its own negative, every odd shell
     is 0.
@@ -331,8 +322,8 @@ def hyper_series(params: HyperSeriesParams, x, y):
         raise ValueError(f"hyper_series takes one x point and one y point: x has shape "
                          f"{x.shape} and y has shape {y.shape}, in n_vars = {params.n_vars} "
                          "variables")
-    total, coeffs = _series_shells(params, x, y)
-    return float(total), abs(_last_shell(params, coeffs, y))
+    total, top = _series_shells(params, x, y)
+    return float(total), abs(symfunc.sympoly_eval(top, y))
 
 
 def _kernel_series(cfg: RootSystemConfig, x, y, max_degree: int):
@@ -351,7 +342,8 @@ def bessel_kernel(cfg: RootSystemConfig, x, y, max_degree: int = 30):
     prefactor.
 
     Type A: N! 0F0^(2/beta)(x, y); type B: 2^N N! 0F1(b; x^2/2, y^2/2) with
-    b = beta (nu + N - 1/2)/2 + 1/2.  y may be batched with shape (..., N).
+    b = beta (nu + N - 1/2)/2 + 1/2.  x is one point (N,); y may be batched
+    with shape (..., N).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -410,7 +402,7 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
     x and y are single points of the system (`rootsys._point`).  A t outside
     (0, inf) raises ValueError; a truncated series that does not sum to a
     positive value has no logarithm and raises ArithmeticError.
-    last_shell_ratio, the top shell (`_last_shell`) over the sum, estimates
+    last_shell_ratio, the series' top shell at y over the sum, estimates
     the truncation error; it does not bound it.
     At an odd max_degree it reads 0 where x or y is a Weyl image of its own
     negative (A3 beta=2, x = (-1, 0, 1), y = (-2, 0.5, 3), t = 0.5, degree 5:
@@ -420,11 +412,11 @@ def radial_transition_logdensity(cfg: RootSystemConfig, t: float, y, x,
         raise ValueError(f"need 0 < t < inf, got t = {t}")
     x, y = _point(cfg, x), _point(cfg, y)
     params, xs, ys = _kernel_series(cfg, x, y / t, max_degree)
-    total, coeffs = _series_shells(params, xs, ys)
+    total, top = _series_shells(params, xs, ys)
     total = float(total)
     kern = weyl_order(cfg) * total
     # truncation diagnostic: relative size of the top degree shell
-    ratio = abs(_last_shell(params, coeffs, ys)) / max(abs(total), np.finfo(float).tiny)
+    ratio = abs(symfunc.sympoly_eval(top, ys)) / max(abs(total), np.finfo(float).tiny)
     if not kern > 0:
         raise ArithmeticError(f"the kernel series truncated at max_degree = {max_degree} sums "
                               f"to {total}, not a positive value (last-shell ratio {ratio:.3g})")
@@ -501,7 +493,7 @@ def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
         (1/c_beta) int K(x,y) K(x,z) e^{-|x|^2/2} w(x) dx
             = |W| e^{(|y|^2+|z|^2)/2} K(y, z).
 
-    K(., y) and K(., z) come from one series pass over all samples.
+    K(., y) and K(., z) are two bessel_kernel calls on the same samples.
     Returns (lhs_estimate, rhs_value, std_error); n_samples must be an integer >= 2.
     """
     if not isinstance(n_samples, Integral) or n_samples < 2:
@@ -509,9 +501,8 @@ def kernel_reproducing_check(cfg: RootSystemConfig, y, z, n_samples: int,
                          "of at least 2 samples")
     y, z = _point(cfg, y), _point(cfg, z)
     xs = sample_gaussian_weight(cfg, n_samples, seed)
-    total, _ = _series_shells(*_kernel_series(cfg, np.stack([y, z]), xs, max_degree))
-    k_y, k_z = np.multiply(weyl_order(cfg), total, out=total)
-    vals = np.multiply(k_y, k_z, out=k_y)
+    vals = bessel_kernel(cfg, y, xs, max_degree)
+    vals *= bessel_kernel(cfg, z, xs, max_degree)
     lhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     rhs = (

@@ -7,12 +7,15 @@ few vectorized Newton steps on the recurrence polish each zero to machine
 precision independently of the eigensolver's own accuracy.  The beta=2
 densities are the diagonal of the Christoffel-Darboux kernel, the sum of
 the squared orthonormal functions, summed along the same recurrence.
+Each input is checked once, at the door: a degree by `_degree`, a time by
+`_time`, the Laguerre parameter by `_laguerre_coeffs`; each raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -28,6 +31,18 @@ class PolyZeros:
     zeros: np.ndarray
 
 
+def _degree(n, least: int):
+    """ValueError unless the degree n is an integer >= least."""
+    if not isinstance(n, Integral) or n < least:
+        raise ValueError(f"n = {n!r}: an integer n >= {least} required")
+
+
+def _time(t):
+    """ValueError unless the time t lies in (0, inf)."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"t = {t!r}: a finite t > 0 required")
+
+
 def _hermite_coeffs(n: int):
     """Orthonormal recurrence coefficients (a_k, b_k), k = 0..n, for e^{-x^2}."""
     return np.zeros(n + 1), np.sqrt(np.arange(n + 1) / 2.0)
@@ -35,8 +50,8 @@ def _hermite_coeffs(n: int):
 
 def _laguerre_coeffs(n: int, alpha: float):
     """Orthonormal recurrence coefficients (a_k, b_k), k = 0..n, for x^alpha e^{-x}."""
-    if alpha <= -1:
-        raise ValueError("alpha > -1 required")
+    if not -1 < alpha < math.inf:  # NaN fails this test, not alpha <= -1
+        raise ValueError(f"alpha = {alpha!r}: a finite Laguerre parameter alpha > -1 required")
     k = np.arange(n + 1)
     return 2 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
 
@@ -94,8 +109,7 @@ def hermite_eval(n: int, x):
 
     H_n = sqrt(2^n n!) p_n, with p_n from the orthonormal recurrence.
     """
-    if n < 0:
-        raise ValueError("n >= 0 required")
+    _degree(n, 0)
     p, d, _, logscale = _recurrence(*_hermite_coeffs(n), x)
     lognorm = 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
     return _unscaled("H_n", n, p, d, logscale + lognorm)
@@ -107,8 +121,7 @@ def laguerre_eval(n: int, alpha: float, x):
     L_n^(alpha) = (-1)^n sqrt(Gamma(n+alpha+1) / (n! Gamma(alpha+1))) p_n,
     with p_n from the orthonormal recurrence.
     """
-    if n < 0:
-        raise ValueError("n >= 0 required")
+    _degree(n, 0)
     p, d, _, logscale = _recurrence(*_laguerre_coeffs(n, alpha), x)
     lognorm = 0.5 * (math.lgamma(n + alpha + 1) - math.lgamma(n + 1) - math.lgamma(alpha + 1))
     sign = (-1) ** n
@@ -149,15 +162,13 @@ def _zeros(a, b):
 
 def hermite_zeros(n: int) -> PolyZeros:
     """All n real zeros of H_n, ascending."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    _degree(n, 1)
     return PolyZeros(HERMITE, n, None, _zeros(*_hermite_coeffs(n)))
 
 
 def laguerre_zeros(n: int, alpha: float) -> PolyZeros:
     """All n zeros of L_n^(alpha) (alpha > -1), ascending, all positive."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    _degree(n, 1)
     return PolyZeros(LAGUERRE, n, alpha, _zeros(*_laguerre_coeffs(n, alpha)))
 
 
@@ -171,10 +182,8 @@ def density_a_exact(n: int, t: float, y):
     Integrates to N over the real line.  Summed as squares along the
     recurrence, so unlike the bracket it has no cancellation.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if t <= 0:
-        raise ValueError("t > 0 required")
+    _degree(n, 1)
+    _time(t)
     y = np.asarray(y, dtype=float)
     u = y / math.sqrt(2 * t)
     _, _, total, logscale = _recurrence(*_hermite_coeffs(n), u, squares=True)
@@ -191,10 +200,8 @@ def density_b_exact(n: int, nu: float, t: float, y):
         * (2/y) u^nu e^{-u}.
     Integrates to N on (0, inf).  Summed as squares, as in `density_a_exact`.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if t <= 0:
-        raise ValueError("t > 0 required")
+    _degree(n, 1)
+    _time(t)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("y > 0 required")

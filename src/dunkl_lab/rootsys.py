@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -138,8 +137,10 @@ def root_table(cfg: RootSystemConfig) -> RootTable:
     return _root_table(cfg.kind, cfg.n, cfg.nu)
 
 
+@functools.lru_cache(maxsize=32)
 def _root_layout(kind, n):
-    """i, j, s, norm2 and ji of the roots of (kind, n), read-only."""
+    """i, j, s, norm2 and ji of the roots of (kind, n), read-only; cached, so
+    the tables of every nu share one copy."""
     j, i = np.tril_indices(n, -1)  # j > i, in the order (1,0), (2,0), (2,1), ...
     s = np.full(len(i), -1.0)
     if kind == TYPE_B:  # e_j - e_i and e_j + e_i side by side, then the e_j
@@ -152,25 +153,15 @@ def _root_layout(kind, n):
     return i, j, s, norm2, ji
 
 
-#: (kind, n) -> the last table built for it, while the cache below holds it
-_layout_donors = weakref.WeakValueDictionary()
-
-
 @functools.lru_cache(maxsize=32)
 def _root_table(kind, n, nu):
-    """Only kappa depends on nu: a cached table of the same (kind, n) lends
-    its read-only layout arrays, so the cache holds one copy of them."""
-    donor = _layout_donors.get((kind, n))
-    if donor is None:
-        i, j, s, norm2, ji = _root_layout(kind, n)
-    else:
-        i, j, s, norm2, ji = donor.i, donor.j, donor.s, donor.norm2, donor.ji
+    """Only kappa depends on nu; the layout arrays come from `_root_layout`."""
+    i, j, s, norm2, ji = _root_layout(kind, n)
     kappa = np.ones(len(s))
     if kind == TYPE_B:
         kappa[-n:] = nu + 0.5  # the coordinate roots e_j
     kappa.flags.writeable = False
-    table = _layout_donors[kind, n] = RootTable(n, i, j, s, kappa, norm2, ji)
-    return table
+    return RootTable(n, i, j, s, kappa, norm2, ji)
 
 
 def log_weight(cfg: RootSystemConfig, x) -> float | np.ndarray:

@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -89,9 +90,11 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
 
 
 def partitions_of(weight: int, max_len: int) -> list:
-    """All partitions of the weight with at most max_len parts, reverse-lex."""
-    if weight < 0:
-        raise ValueError("weight >= 0 required")
+    """All partitions of the weight with at most max_len parts, reverse-lex;
+    each count must be an integer >= 0, else ValueError."""
+    for name, count in (("weight", weight), ("max_len", max_len)):
+        if not isinstance(count, Integral) or count < 0:
+            raise ValueError(f"{name} = {count!r}: an integer >= 0 required")
     return list(_partitions(weight, max_len))
 
 
@@ -335,15 +338,15 @@ def jack_coeffs(lam: Partition, alpha: float, n_vars: int) -> SymPoly:
     """Monomial expansion of the Jack polynomial P_lambda^(alpha).
 
     Normalized so the coefficient of m_lambda is 1; coefficients vanish
-    off the dominance-lower set.  alpha > 0 guarantees the eigenvalue gap
+    off the dominance-lower set.  0 < alpha < inf guarantees the eigenvalue gap
     (guarded anyway).  The triangle is solved by scatter: walking the
     partitions in reverse-lex order (a linear extension of dominance), each
     u[mu] is final once reached, and its column is added into the partial
     sums of the partitions it feeds.
     """
     lam = _check_partition(lam)
-    if alpha <= 0:
-        raise ValueError("alpha > 0 required")
+    if not 0 < alpha < math.inf:  # a NaN alpha fails this test, not alpha <= 0
+        raise ValueError(f"alpha = {alpha!r}: 0 < alpha < inf required")
     if len(lam) > n_vars:
         raise ValueError("partition longer than variable count")
     scale = 2.0 / alpha

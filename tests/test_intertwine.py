@@ -31,6 +31,7 @@ from dunkl_lab.symfunc import (
     jack_coeffs,
     multinomial_m,
     partitions_of,
+    sympoly_eval,
 )
 
 
@@ -286,7 +287,7 @@ def test_kernel_degree_by_degree_expansion():
     #   sum_mu N!/(mu! M(mu,N)) m_mu(y) [V m_mu](x);
     # check that against the Jack-series shells through total degree 4,
     # degree d as the top shell of the series truncated at D = d.
-    from dunkl_lab.symfunc import multinomial_m, sympoly_eval, monomial_eval
+    from dunkl_lab.symfunc import monomial_eval
     for n in (2, 3):
         beta = 2.0
         rng = np.random.default_rng(n)
@@ -294,7 +295,7 @@ def test_kernel_degree_by_degree_expansion():
         y = rng.uniform(-0.9, 0.9, size=n)
         for deg in range(5):
             params = HyperSeriesParams(alpha=2.0 / beta, n_vars=n, max_degree=deg)
-            shell = intertwine._last_shell(params, intertwine._series_shells(params, x, y)[1], y)
+            shell = sympoly_eval(intertwine._series_shells(params, x, y)[1], y)
             brute = 0.0
             for mu in partitions_of(deg, n):
                 fact = 1.0
@@ -520,20 +521,16 @@ def test_sample_gaussian_weight_beta2_histogram(cfg, lo, hi):
     assert chi2_dof < 2.0, chi2_dof
 
 
-def test_series_shells_stacked_points_match_single_points():
-    rng = np.random.default_rng(8)
-    ys = rng.uniform(-0.8, 0.8, size=(500, 3))
-    xs = rng.uniform(-0.8, 0.8, size=(2, 3))
-    for b in (None, 2.3):
-        params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=12, b=b)
-        total, coeffs = intertwine._series_shells(params, xs, ys)
-        assert total.shape == (2, 500)
-        for k in range(2):
-            single, single_coeffs = intertwine._series_shells(params, xs[k], ys)
-            assert np.array_equal(total[k], single)
-            assert coeffs.keys() == single_coeffs.keys()
-            for mu, c in coeffs.items():
-                assert np.array_equal(c[k], single_coeffs[mu][0])
+def test_a_stack_of_x_points_is_refused():
+    # the series takes one x point; a (2, N) x used to give a (2, ...) array
+    xs = np.full((2, 3), 0.3)
+    message = re.escape("x has shape (2, 3), but the series takes one x point of shape (3,)")
+    for cfg in (RootSystemConfig(TYPE_A, 3, 2.0), RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5)):
+        with pytest.raises(ValueError, match=message):
+            bessel_kernel(cfg, xs, np.ones((5, 3)))
+    with pytest.raises(ValueError, match=message):
+        intertwine._series_shells(HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=4), xs,
+                                  np.ones((5, 3)))
 
 
 def _monomial_eval_by_chain(lam, x):
@@ -626,14 +623,14 @@ def test_x_side_matches_the_tau_loop(n, alpha, b, monkeypatch):
     monkeypatch.setattr(intertwine, "_horner", recording)
     rng = np.random.default_rng(n)
     x = rng.uniform(-1.2, 1.2, size=(2, n))
-    intertwine._series_shells(params, x, np.ones(n))
-    intertwine._series_shells(params, x[1], np.ones(n))
-    for k, got in ((slice(None), seen[0]), (1, seen[1])):
-        ref, scale = _x_side_by_tau_loop(params, x[k])
+    for point in x:
+        intertwine._series_shells(params, point, np.ones(n))
+    for point, got in zip(x, seen):
+        ref, scale = _x_side_by_tau_loop(params, point)
         assert got.keys() == ref.keys()
         for mu, c in got.items():
             bound = 2 * (len(partitions_of(sum(mu), n)) + sum(mu) + n) * np.finfo(float).eps
-            assert np.all(np.abs(c[:, 0] - ref[mu]) <= bound * scale[mu]), mu
+            assert abs(c - ref[mu]) <= bound * scale[mu], mu
 
 
 def _assert_matches_the_oracle(params, x, y):
@@ -641,31 +638,26 @@ def _assert_matches_the_oracle(params, x, y):
     # roundings of the absolute series, and the oracle's is of the same
     # order: bound the gap by 2 (D + N) eps times the absolute series, not
     # relative to the value, since the top shell cancels.  The top shell is
-    # read at single points, from each x point's coefficients
-    total, coeffs = intertwine._series_shells(params, x, y)
+    # read at single y points, by sympoly_eval
+    total, top = intertwine._series_shells(params, x, y)
     shells, absolute = _series_shells_by_monomial(params, x, y)
-    assert total.shape == np.shape(x)[:-1] + np.shape(y)[:-1]
+    assert total.shape == np.shape(y)[:-1]
     bound = 2 * (params.max_degree + params.n_vars) * np.finfo(float).eps
     assert np.all(np.abs(total - shells.sum(axis=0)) <= bound * absolute.sum(axis=0))
-    n = params.n_vars
-    xs, ys = np.reshape(x, (-1, n)), np.reshape(y, (-1, n))
-    top, top_abs = shells[-1].reshape(len(xs), -1), absolute[-1].reshape(len(xs), -1)
-    for k in range(len(xs)):
-        at_x = {mu: c[k:k + 1] for mu, c in coeffs.items()}
-        for j in sorted({0, len(ys) // 2, len(ys) - 1}):
-            last = intertwine._last_shell(params, at_x, ys[j])
-            assert abs(last - top[k, j]) <= bound * top_abs[k, j]
+    ys = np.reshape(y, (-1, params.n_vars))
+    top_ref, top_abs = shells[-1].reshape(-1), absolute[-1].reshape(-1)
+    for j in sorted({0, len(ys) // 2, len(ys) - 1}):
+        assert abs(sympoly_eval(top, ys[j]) - top_ref[j]) <= bound * top_abs[j]
 
 
 @pytest.mark.parametrize("degree", [0, 1, 18])
 @pytest.mark.parametrize("b", [None, 2.3])
-@pytest.mark.parametrize("x_shape", [(3,), (2, 3)], ids=["point", "stack"])
+@pytest.mark.parametrize("x_shape", [(3,)], ids=["point"])  # the series takes one x point
 def test_blocked_y_side_matches_one_call_per_monomial(degree, b, x_shape):
     # one point, exactly one block, one block and one point, three blocks and
     # 5 points, and a leading shape (a, b) whose rows straddle the blocks
     params = HyperSeriesParams(alpha=0.7, n_vars=3, max_degree=degree, b=b)
-    k = math.prod(x_shape[:-1])
-    rows = intertwine._SERIES_BLOCK_ENTRIES // (3 + 2 * k)
+    rows = intertwine._SERIES_BLOCK_ENTRIES // (2 * 3 - 1)
     rng = np.random.default_rng(degree)
     x = rng.uniform(-0.8, 0.8, size=x_shape)
     for y_shape in [(3,), (rows, 3), (rows + 1, 3), (3 * rows + 5, 3), (3, rows // 2 + 1, 3)]:
@@ -673,8 +665,8 @@ def test_blocked_y_side_matches_one_call_per_monomial(degree, b, x_shape):
 
 
 @pytest.mark.parametrize("n, degree, b, x_shape", [
-    (1, 12, None, (1,)), (1, 9, 2.3, (2, 1)), (4, 10, None, (4,)), (4, 8, 2.3, (2, 4)),
-    (5, 8, None, (5,)), (5, 6, 1.7, (2, 5)),
+    (1, 12, None, (1,)), (1, 9, 2.3, (1,)), (4, 10, None, (4,)), (4, 8, 2.3, (4,)),
+    (5, 8, None, (5,)), (5, 6, 1.7, (5,)),
 ])
 def test_horner_y_side_matches_the_oracle_in_one_four_and_five_variables(n, degree, b,
                                                                         x_shape):
@@ -799,10 +791,11 @@ def test_kernel_reproducing_small_sample():
 @pytest.mark.parametrize("cfg, y, z", [
     (RootSystemConfig(TYPE_A, 2, 2.0), [0.2, 0.5], [-0.4, 0.1]),
     (RootSystemConfig(TYPE_B, 2, 2.0, nu=0.5), [0.1, 0.4], [0.3, 0.6]),
-], ids=["A2", "B2"])
+    (RootSystemConfig(TYPE_A, 3, 8.0), [-0.3, 0.1, 0.5], [0.0, 0.2, 0.6]),
+], ids=["A2", "B2", "A3_beta8"])
 def test_kernel_reproducing_check_is_the_mean_of_two_kernels(cfg, y, z):
-    # one series pass over 65536 + 1000 samples gives the bits of the two
-    # public kernels' product on the same samples
+    # lhs and se are the mean and standard error of the two public kernels'
+    # product on the check's own 65536 + 1000 samples, bit for bit
     n, degree, seed = (1 << 16) + 1000, 12, 9
     lhs, rhs, se = kernel_reproducing_check(cfg, y, z, n_samples=n, max_degree=degree,
                                             seed=seed)
@@ -811,6 +804,29 @@ def test_kernel_reproducing_check_is_the_mean_of_two_kernels(cfg, y, z):
         cfg, z, xs, max_degree=degree)
     assert lhs == float(vals.mean())
     assert se == float(vals.std(ddof=1) / math.sqrt(n))
+
+
+_A3 = RootSystemConfig(TYPE_A, 3, 2.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: bessel_kernel(_A3, [math.nan, 0.0, 1.0], [0.1, 0.2, 0.3]), "x"),
+    (lambda: bessel_kernel(_A3, [0.0, 0.5, 1.0], [[0.1, 0.2, 0.3], [0.1, math.inf, 0.3]]), "y"),
+    (lambda: hyper_series(HyperSeriesParams(1.0, 2, 4), [math.nan, 1.0], [1.0, 1.0]), "x"),
+    (lambda: hyper_series(HyperSeriesParams(1.0, 2, 4), [1.0, 1.0], [1.0, -math.inf]), "y"),
+    (lambda: radial_transition_logdensity(_A3, 0.5, [0.1, 0.5, 1.0], [-0.2, 0.1, math.nan]),
+     "x"),
+    (lambda: radial_transition_logdensity(_A3, 0.5, [0.1, 0.5, math.nan], [-0.2, 0.1, 0.4]),
+     "y"),
+    # the check's y and z are the x points of its two kernels
+    (lambda: kernel_reproducing_check(_A3, [0.0, 1.0, math.nan], [0.1, 0.2, 0.3], 10), "x"),
+    (lambda: kernel_reproducing_check(_A3, [0.1, 0.2, 0.3], [0.0, math.inf, 1.0], 10), "x"),
+], ids=["kernel_x", "kernel_y", "hyper_x", "hyper_y", "transition_x", "transition_y",
+        "reproducing_y", "reproducing_z"])
+def test_the_series_refuses_a_non_finite_point(call, name):
+    # each gave NaN without a word
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite coordinate"):
+        call()
 
 
 @pytest.mark.parametrize("n_samples", [-5, 0, 1, 2.5])

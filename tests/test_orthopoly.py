@@ -44,10 +44,17 @@ def test_laguerre_eval_values():
     (lambda: hermite_eval(-1, 0.5), ValueError, "n >= 0"),
     (lambda: laguerre_eval(-1, 0.5, 0.5), ValueError, "n >= 0"),
     (lambda: laguerre_eval(2, -1.5, 0.5), ValueError, "alpha > -1"),
+    # a float n raised a bare TypeError or, in the evaluators, read the
+    # recurrence at ceil(n); a NaN or infinite alpha gave LinAlgError
+    (lambda: hermite_eval(2.5, 0.5), ValueError, "n = 2.5: an integer n >= 0"),
+    (lambda: hermite_zeros(2.5), ValueError, "n = 2.5: an integer n >= 1"),
+    (lambda: laguerre_zeros(3, math.nan), ValueError, "alpha = nan: .*alpha > -1"),
+    (lambda: laguerre_zeros(3, math.inf), ValueError, "alpha = inf: .*alpha > -1"),
     # H_1000(44) and L_1000^(1)(3000) exceed the largest double
     (lambda: hermite_eval(1000, 44.0), FloatingPointError, "n=1000"),
     (lambda: laguerre_eval(1000, 1.0, 3000.0), FloatingPointError, "n=1000"),
-], ids=["hermite_negative_n", "laguerre_negative_n", "laguerre_alpha",
+], ids=["hermite_negative_n", "laguerre_negative_n", "laguerre_alpha", "hermite_float_n",
+        "hermite_zeros_float_n", "laguerre_zeros_nan_alpha", "laguerre_zeros_inf_alpha",
         "hermite_overflow", "laguerre_overflow"])
 def test_eval_rejects_out_of_range(call, error, message):
     with pytest.raises(error, match=message):
@@ -158,6 +165,12 @@ def test_density_a_exact_values():
         1.5 / math.sqrt(2 * math.pi))
     with pytest.raises(ValueError, match="n >= 1 required"):
         density_a_exact(0, t, y)
+    # a float n raised a bare TypeError, a NaN t gave NaN and t = inf zeros
+    with pytest.raises(ValueError, match="n = 2.5: an integer n >= 1 required"):
+        density_a_exact(2.5, t, y)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match=f"t = {bad}: a finite t > 0 required"):
+            density_a_exact(3, bad, y)
 
 
 def test_density_a_symmetry():
@@ -184,6 +197,12 @@ def test_density_b_exact_values():
     assert np.allclose(density_b_exact(1, nu, t, y), expected, rtol=1e-12)
     with pytest.raises(ValueError, match="n >= 1 required"):
         density_b_exact(0, nu, t, y)
+    # a NaN nu or t gave NaN
+    with pytest.raises(ValueError, match="alpha = nan: .*alpha > -1 required"):
+        density_b_exact(3, math.nan, t, y)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"t = {bad}: a finite t > 0 required"):
+            density_b_exact(3, nu, bad, y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])

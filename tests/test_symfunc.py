@@ -43,6 +43,24 @@ def test_partitions_of_counts():
         assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
+@pytest.mark.parametrize("weight, max_len, name", [
+    (3, -1, "max_len"), (3, 2.5, "max_len"), (2.5, 3, "weight"), (-1, 3, "weight"),
+], ids=["max_len_negative", "max_len_2.5", "weight_2.5", "weight_negative"])
+def test_partitions_of_refuses_a_malformed_count(weight, max_len, name):
+    # max_len -1 and 2.5 gave all of (3), (2, 1), (1, 1, 1), parts beyond
+    # max_len included, and weight 2.5 raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{name} = .*: an integer >= 0 required"):
+        partitions_of(weight, max_len)
+    assert partitions_of(np.int64(3), np.int32(2)) == [(3,), (2, 1)]
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_jack_coeffs_refuses_alpha_outside_zero_to_inf(alpha):
+    # a NaN alpha passed the old alpha <= 0 test and gave a NaN coefficient
+    with pytest.raises(ValueError, match="0 < alpha < inf required"):
+        jack_coeffs((2,), alpha, 3)
+
+
 @given(partition_st)
 def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
