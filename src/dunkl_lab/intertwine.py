@@ -333,7 +333,13 @@ def _kernel_series(cfg: RootSystemConfig, x, y, max_degree: int):
     params = HyperSeriesParams(alpha=2.0 / cfg.beta, n_vars=cfg.n,
                                max_degree=max_degree, b=_lower_param(cfg))
     if cfg.kind == TYPE_B:
-        x, y = x * x / 2.0, y * y / 2.0
+        with np.errstate(over="ignore"):  # refused below, where the input was finite
+            sq = x * x / 2.0, y * y / 2.0
+        for name, v, v2 in zip("xy", (x, y), sq):
+            if np.isfinite(v).all() and not np.isfinite(v2).all():
+                raise ValueError(f"{name} has a coordinate whose squared variable {name}^2/2 "
+                                 "overflows: type B's series runs in x^2/2 and y^2/2")
+        x, y = sq
     return params, x, y
 
 
@@ -370,6 +376,10 @@ def frozen_kernel(cfg: RootSystemConfig, x, y, corrected: bool = False) -> float
     when x_r or y_r is 0, which covers type A at N = 1 (no roots).
     """
     x, y = _point(cfg, x), _point(cfg, y)
+    for name, v in (("x", x), ("y", y)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has a non-finite coordinate: the closed form takes "
+                             "finite points only")
     proj = span_complement(cfg)
     px, py = proj @ x, proj @ y
     xr, yr = x - px, y - py

@@ -43,6 +43,14 @@ def _time(t):
         raise ValueError(f"t = {t!r}: a finite t > 0 required")
 
 
+def _finite_y(y):
+    """y as a float array; ValueError if any entry is not finite."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y has a non-finite entry: the density is evaluated at finite points")
+    return y
+
+
 def _hermite_coeffs(n: int):
     """Orthonormal recurrence coefficients (a_k, b_k), k = 0..n, for e^{-x^2}."""
     return np.zeros(n + 1), np.sqrt(np.arange(n + 1) / 2.0)
@@ -184,7 +192,7 @@ def density_a_exact(n: int, t: float, y):
     """
     _degree(n, 1)
     _time(t)
-    y = np.asarray(y, dtype=float)
+    y = _finite_y(y)
     u = y / math.sqrt(2 * t)
     _, _, total, logscale = _recurrence(*_hermite_coeffs(n), u, squares=True)
     dens = np.exp(np.log(total) + 2 * logscale - u * u - 0.5 * math.log(2 * math.pi * t))
@@ -202,7 +210,7 @@ def density_b_exact(n: int, nu: float, t: float, y):
     """
     _degree(n, 1)
     _time(t)
-    y = np.asarray(y, dtype=float)
+    y = _finite_y(y)
     if np.any(y <= 0):
         raise ValueError("y > 0 required")
     u = y * y / (2 * t)

@@ -18,13 +18,13 @@ block is summed into S_j and subtracted from the rows below, so every S_k
 accumulates its pairs in the root table's order; then b = (beta/2) S, or
 for type B b = beta (x S + (kappa/2) / x), kappa = nu + 1/2 from the
 coordinate roots.  One routine, `_Batch.step`, takes the step
-x += b h + sqrt(h) noise^T and projects; the ensemble, the noise-free
-schedule path, `euler_step` and `drift` (m = 1) all go through it.  The
-projection re-sorts only the paths that left the chamber: after the
-absolute value (type B) it flags the columns with a descent, a tie or a
-zero, then sorts and unties those alone, which is bit-identical to sorting
-every path on every step.  The projection's reflection at 0 is read from
-the coordinate roots.
+x += b h + dW^T and projects; the ensemble, the noise-free schedule path,
+`euler_step` and `drift` (m = 1) all go through it.  The projection
+re-sorts only the paths that left the chamber: after the absolute value
+(type B) it flags the columns with a descent, a tie or a zero, then sorts
+and unties those alone, which is bit-identical to sorting every path on
+every step.  The projection's reflection at 0 is read from the coordinate
+roots.
 
 The step dt of a plan is the largest step.  Near a stiff start, where
 particles begin close together (or, for type B, close to the origin), the
@@ -33,11 +33,18 @@ stiffness along the noise-free path, so explicit Euler does not throw the
 particles past where the drift would take them.  A start that is not stiff
 at dt gets uniform steps of dt.
 
-Lane l, paths 1024 l to 1024 l + 1023, draws its noise from its own SFC64
-stream keyed by (seed, l), so a path's bits depend only on the plan.  Tiles
-of whole lanes, one per core that the CPU affinity allows and more where one
-would hold over _TILE_MAX particles, each draw their own noise and run the
-whole schedule on a thread, with no per-step wait; cores + 1 hold buffers.
+A step of length h adds +-sqrt(h), each with probability 1/2, to every
+coordinate: mean 0 and covariance h I are all that Euler's weak order 1
+asks of the increments (Kloeden & Platen, Numerical Solution of SDEs, 14.1),
+and the identity behind `euler_bias` holds for them as for normal draws.
+Lane l, paths 1024 l to 1024 l + 1023, reads its signs as raw bits of its
+own SFC64 stream keyed by (seed, l) (`_run_tile`), so a path's bits depend
+only on the plan.  Type A at N = 1 has no drift, so its finals lie on a
+lattice of spacing 2 sqrt(dt), and a finer histogram shows empty bins.
+Tiles of whole lanes, one per core that the CPU affinity allows and more
+where one would hold over _TILE_MAX particles, each draw their own noise
+and run the whole schedule on a thread, with no per-step wait; cores + 1
+hold buffers.
 """
 
 from __future__ import annotations
@@ -49,9 +56,9 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
+from numpy.random import SFC64, SeedSequence
 
-from .rootsys import RootSystemConfig, _point, chamber_dot, in_weyl_chamber, root_table
+from .rootsys import RootSystemConfig, _point, chamber_dot, gamma, in_weyl_chamber, root_table
 
 _LANE = 1 << 10  # paths per noise stream: fixed, part of the deterministic stream layout
 _TILE = 1 << 13  # fewest particles (paths x N) worth a worker of their own
@@ -124,9 +131,9 @@ class _Batch:
     """m paths held particle-major as x of shape (N, m), one contiguous row
     per particle, with the buffers that its Euler–Maruyama step reuses.
 
-    The step x += b h + sqrt(h) noise^T rounds exactly as the same step
-    written on (m, N) rows: the drift b sums its pairs in the root table's
-    order, and b h and sqrt(h) noise are formed before they are added to x.
+    The step x += b h + dW^T rounds exactly as the same step written on
+    (m, N) rows: the drift b sums its pairs in the root table's order, and
+    b h is formed before it and dW are added to x.
     Row j's pair block, and for type B a second one for x_j + x_i, are
     (j, w) slices of one buffer of the largest row's size, whose first N
     rows also hold kappa / 2x, so the drift adds no other buffer.
@@ -187,16 +194,15 @@ class _Batch:
             b *= self.cfg.beta / 2.0
         return b[:, :m]
 
-    def step(self, h, noise=None):
-        """One step of length h, then the chamber projection; returns the
-        number of tie and zero repairs.  noise, of shape (m, N), is scaled
-        in place; without it the step follows the noise-free path."""
+    def step(self, h, dw=None):
+        """One step of length h with the increments dw, of shape (m, N), then
+        the chamber projection; returns the number of tie and zero repairs.
+        Without dw the step follows the noise-free path."""
         b = self.drift()
         b *= h
         self.bias += np.einsum("ij,ij->j", b, b)
-        if noise is not None:
-            noise *= math.sqrt(h)
-            b += noise.T
+        if dw is not None:
+            b += dw.T
         self.x += b
         return self.project()
 
@@ -238,7 +244,7 @@ def euler_step(cfg: RootSystemConfig, state: ParticleState, dt: float, noise) ->
     if not np.all(np.isfinite(noise)):
         raise ValueError("noise must be finite")
     x = np.array(state.positions, dtype=float).reshape(-1, 1)
-    _Batch(cfg, x).step(dt, noise.reshape(1, -1).copy())
+    _Batch(cfg, x).step(dt, math.sqrt(dt) * noise.reshape(1, -1))
     return ParticleState(positions=x[:, 0], time=state.time + dt)
 
 
@@ -313,41 +319,67 @@ def _tiles(m, n, workers):
 
 def _tile(plan, a, c):
     """The buffers of paths a..c, a a multiple of _LANE: the batch at the
-    start, the (c - a, N) noise, and each lane's stream with its noise rows."""
+    start, the (c - a, N) increments, and each lane's stream with its rows."""
     seed = int(plan.seed) & ((1 << 64) - 1)
     x = np.repeat(np.asarray(plan.initial, dtype=float)[:, None], c - a, axis=1)
-    noise = np.empty((c - a, plan.cfg.n))
-    lanes = [(Generator(SFC64(SeedSequence(seed, spawn_key=(p // _LANE,)))),
-              noise[p - a:min(p + _LANE, c) - a]) for p in range(a, c, _LANE)]
-    return _Batch(plan.cfg, x), noise, lanes
+    dw = np.empty((c - a, plan.cfg.n))
+    lanes = [(SFC64(SeedSequence(seed, spawn_key=(p // _LANE,))),
+              dw[p - a:min(p + _LANE, c) - a]) for p in range(a, c, _LANE)]
+    return _Batch(plan.cfg, x), dw, lanes
 
 
-def _run_tile(batch, noise, lanes, steps, finals, bias):
-    """Each step, fill each lane's rows of noise from its stream and step the
-    batch; then write its finals and per-path bias; returns the repair count."""
+def _run_tile(batch, dw, lanes, steps, finals, bias):
+    """Each step h, fill each lane's rows of dw with +-sqrt(h) from its
+    stream and step the batch; then write its finals and per-path bias;
+    returns the repair count.
+
+    A lane of r rows reads ceil(r N / 64) raw 64-bit words a step: path p's
+    particle i takes bit k % 64 of word k // 64, k = p N + i, counted from
+    the least significant bit, and 1 is +sqrt(h).
+    """
     repairs = 0
     for h in steps:
-        for rng, rows in lanes:
-            rng.standard_normal(out=rows)
-        repairs += batch.step(h, noise)
+        signs = np.array([-math.sqrt(h), math.sqrt(h)])
+        for gen, rows in lanes:
+            # little-endian words: byte j holds bits 8j..8j+7 on any host
+            words = gen.random_raw(-(-rows.size // 64)).astype("<u8", copy=False)
+            bits = np.unpackbits(words.view(np.uint8), count=rows.size, bitorder="little")
+            np.take(signs, bits.reshape(rows.shape), out=rows, mode="wrap")
+        repairs += batch.step(h, dw)
     finals[:], bias[:] = batch.x.T, batch.bias
     return repairs
+
+
+def msq_moments(plan: SimPlan):
+    """Exact mean, variance and fourth central moment of |X_t|^2 at
+    t = plan.t_final: a squared Bessel process of dimension k = N + beta gamma,
+    with law t chi'^2(k, |x_0|^2 / t), whose j-th cumulant is
+    t^j 2^(j-1) (j-1)! (k + j |x_0|^2 / t)."""
+    k = plan.cfg.n + plan.cfg.beta * gamma(plan.cfg)
+    r2, t = float(np.dot(plan.initial, plan.initial)), plan.t_final
+    var = 4.0 * r2 * t + 2.0 * k * t * t
+    return r2 + k * t, var, 3.0 * var * var + 48.0 * t ** 3 * (k * t + 4.0 * r2)
 
 
 def simulate_paths(plan: SimPlan, return_stats: bool = False):
     """Integrate n_paths independent trajectories; returns finals (n_paths, N).
 
     Deterministic for a given plan at any core count: each lane of 1024
-    paths owns an SFC64 stream keyed by (seed, lane).  plan.dt is the
-    largest step; steps near a stiff start are shorter (see _step_schedule).
+    paths owns an SFC64 stream keyed by (seed, lane), whose raw bits are the
+    signs of its +-sqrt(h) increments.  plan.dt is the largest step; steps
+    near a stiff start are shorter (see _step_schedule).
     The stats' `euler_bias` is the mean of sum_k |h_k b(X_k)|^2: as x . b(x)
     = beta gamma / 2 and the projection keeps |x|^2, it is exactly explicit
     Euler's excess of E|X_t|^2 over |x_0|^2 + (N + beta gamma) t.
+    `msq_var_ratio` is the sample variance of |X_t|^2 over its exact value
+    (`msq_moments`), and `msq_var_z` its z-score from the exact fourth
+    moment; both are NaN for a single path.
     """
     steps = _step_schedule(plan.cfg, plan.initial, plan.dt, plan.t_final)
-    finals, bias = np.empty((plan.n_paths, plan.cfg.n)), np.empty(plan.n_paths)
+    m = plan.n_paths
+    finals, bias = np.empty((m, plan.cfg.n)), np.empty(m)
     workers = _workers()
-    tiles = _tiles(plan.n_paths, plan.cfg.n, workers)
+    tiles = _tiles(m, plan.cfg.n, workers)
     done = []
     with ThreadPoolExecutor(workers) as pool:
         for a, c in tiles:
@@ -358,11 +390,20 @@ def simulate_paths(plan: SimPlan, return_stats: bool = False):
         repairs = sum(f.result() for f in done)
     if not return_stats:
         return finals
+    ratio = z = math.nan
+    if m > 1:
+        _, var, mu4 = msq_moments(plan)
+        with np.errstate(over="ignore", invalid="ignore"):  # a thrown path reads inf or NaN
+            s2 = float(np.einsum("ij,ij->i", finals, finals).var(ddof=1))
+        ratio = s2 / var
+        z = (s2 - var) / math.sqrt((mu4 - var * var * (m - 3) / (m - 1)) / m)
     return finals, {
         "repairs": repairs,
-        "particle_steps": plan.n_paths * len(steps) * plan.cfg.n,
+        "particle_steps": m * len(steps) * plan.cfg.n,
         "n_steps": len(steps),
-        "euler_bias": float(bias.sum() / plan.n_paths),
+        "euler_bias": float(bias.sum() / m),
+        "msq_var_ratio": ratio,
+        "msq_var_z": z,
         "workers": workers,
         "tiles": len(tiles),
     }

@@ -79,10 +79,13 @@ def test_simulate_csv_and_manifest(tmp_path):
     # 50 uniform steps from a start that is not stiff at dt
     plan = sde.SimPlan(cfg=dunkl_lab.RootSystemConfig("A", 2, 2.0), dt=1e-2, t_final=0.5,
                        n_paths=512, seed=DEFAULT_SEED, initial=(0.0, 1.0))
-    bias = sde.simulate_paths(plan, return_stats=True)[1]["euler_bias"]
-    assert bias > 0
+    stats = sde.simulate_paths(plan, return_stats=True)[1]
+    assert stats["euler_bias"] > 0
     assert manifest["sde"] == {"n_steps": 50, "particle_steps": 512 * 50 * 2, "repairs": 0,
-                               "euler_bias": bias, "workers": len(os.sched_getaffinity(0))}
+                               "euler_bias": stats["euler_bias"],
+                               "msq_var_ratio": stats["msq_var_ratio"],
+                               "msq_var_z": stats["msq_var_z"],
+                               "workers": len(os.sched_getaffinity(0))}
 
 
 def test_simulate_exact_column_empty_off_beta2(tmp_path):

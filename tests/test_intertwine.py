@@ -821,11 +821,31 @@ _A3 = RootSystemConfig(TYPE_A, 3, 2.0)
     # the check's y and z are the x points of its two kernels
     (lambda: kernel_reproducing_check(_A3, [0.0, 1.0, math.nan], [0.1, 0.2, 0.3], 10), "x"),
     (lambda: kernel_reproducing_check(_A3, [0.1, 0.2, 0.3], [0.0, math.inf, 1.0], 10), "x"),
+    # the large-beta closed form sums no series, but refuses the same points
+    (lambda: frozen_kernel(_A3, [math.nan, 1.0, 2.0], [0.1, 0.2, 0.3]), "x"),
+    (lambda: frozen_kernel(_A3, [0.0, 1.0, 2.0], [0.1, 0.2, -math.inf]), "y"),
 ], ids=["kernel_x", "kernel_y", "hyper_x", "hyper_y", "transition_x", "transition_y",
-        "reproducing_y", "reproducing_z"])
+        "reproducing_y", "reproducing_z", "frozen_x", "frozen_y"])
 def test_the_series_refuses_a_non_finite_point(call, name):
     # each gave NaN without a word
     with pytest.raises(ValueError, match=f"^{name} has a non-finite coordinate"):
+        call()
+
+
+_B3 = RootSystemConfig(TYPE_B, 3, 2.0, nu=0.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: bessel_kernel(_B3, [1e200, 1.0, 2.0], [0.1, 0.2, 0.3]), "x"),
+    (lambda: bessel_kernel(_B3, [0.1, 0.2, 0.3], [[0.1, 0.2, 0.3], [0.5, 1.0, 2e154]]), "y"),
+    # the transition's series runs at y / t
+    (lambda: radial_transition_logdensity(_B3, 1e-300, [0.1, 0.2, 0.3], [0.5, 1.0, 2.0]), "y"),
+], ids=["kernel_x", "kernel_y", "transition_y"])
+def test_type_b_series_refuses_a_square_that_overflows(call, name):
+    # a finite coordinate above about 1.3e154 squared to inf, with numpy's
+    # overflow warning, and was then refused as a non-finite coordinate
+    with pytest.raises(ValueError, match=f"^{name} has a coordinate whose squared variable "
+                                         f"{name}\\^2/2 overflows"):
         call()
 
 

@@ -171,6 +171,10 @@ def test_density_a_exact_values():
     for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match=f"t = {bad}: a finite t > 0 required"):
             density_a_exact(3, bad, y)
+    # a NaN y gave NaN at that point
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="y has a non-finite entry"):
+            density_a_exact(3, t, [bad, 0.0])
 
 
 def test_density_a_symmetry():
@@ -203,6 +207,10 @@ def test_density_b_exact_values():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"t = {bad}: a finite t > 0 required"):
             density_b_exact(3, nu, bad, y)
+    # a NaN y passed the y > 0 test and gave NaN at that point
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="y has a non-finite entry"):
+            density_b_exact(3, nu, t, [bad, 1.0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.random import SFC64, Generator, SeedSequence
+from numpy.random import SFC64, SeedSequence
 
 from dunkl_lab import sde
 from dunkl_lab.rootsys import TYPE_A, TYPE_B, RootSystemConfig, gamma, in_weyl_chamber, root_table
@@ -115,21 +115,31 @@ def _project_rows(cfg, x):
     return repairs
 
 
+def _signs(gen, rows, n):
+    """A lane's (rows, n) signs +-1 for one step, from ceil(rows n / 64) raw
+    words of its SFC64 stream: sign k, row by row, is bit k % 64 of word
+    k // 64 counted from the least significant bit, and a 1 bit is +1."""
+    words = gen.random_raw(-(-rows * n // 64))
+    k = np.arange(rows * n)
+    bits = (words[k // 64] >> (k % 64).astype(np.uint64)) & np.uint64(1)
+    return (2.0 * bits - 1.0).reshape(rows, n)
+
+
 def _run_chunk_rows(plan, lo, hi, steps):
     """Paths lo..hi of sde.simulate_paths on (m, N) rows with a full sort
     every step, kept as its oracle: lane l, paths 1024 l to 1024 l + 1023,
-    draws its rows of each step's noise from its own SFC64 stream, keyed by
+    draws its rows of each step's signs from its own SFC64 stream, keyed by
     (seed, l).  Returns the finals, the repair count and each path's sum of
     |h b|^2."""
     cfg = plan.cfg
     seed = int(plan.seed) & ((1 << 64) - 1)
     edges = list(range(lo, hi, 1024)) + [hi]
-    lanes = [(Generator(SFC64(SeedSequence(seed, spawn_key=(a // 1024,)))), c - a)
+    lanes = [(SFC64(SeedSequence(seed, spawn_key=(a // 1024,))), c - a)
              for a, c in zip(edges, edges[1:])]
     x = np.tile(np.asarray(plan.initial, dtype=float), (hi - lo, 1))
     repairs, bias = 0, np.zeros(hi - lo)
     for dt_k in steps:
-        noise = np.concatenate([rng.standard_normal((rows, cfg.n)) for rng, rows in lanes])
+        noise = np.concatenate([_signs(gen, rows, cfg.n) for gen, rows in lanes])
         hb = _drift_rows(cfg, x) * dt_k
         sq = np.zeros(hi - lo)
         for k in range(cfg.n):  # particle by particle, as the step sums them
@@ -674,6 +684,70 @@ def test_euler_bias_predicts_the_msq_excess():
     se = r2.std(ddof=1) / math.sqrt(plan.n_paths)
     assert excess > 20 * se  # the bias is resolved at this size
     assert abs(excess - stats["euler_bias"]) <= 4 * se
+
+
+@pytest.mark.parametrize("cfg, x0", [
+    (RootSystemConfig(TYPE_A, 3, 0.5), (0.0, 0.5, 2.0)),
+    (RootSystemConfig(TYPE_B, 4, 3.0, nu=1.5), (0.1, 0.2, 0.3, 4.0)),
+    (RootSystemConfig(TYPE_B, 1, 2.0, nu=0.0), (1e-3,)),
+], ids=["A3", "B4", "B1"])
+def test_msq_moments_are_the_noncentral_chi_square_law(cfg, x0):
+    # |X_t|^2 / t is chi'^2(N + beta gamma, |x0|^2 / t); scipy's moments
+    from scipy.stats import ncx2
+    t = 0.7
+    plan = SimPlan(cfg=cfg, dt=0.1, t_final=t, n_paths=2, seed=0, initial=x0)
+    k = cfg.n + cfg.beta * gamma(cfg)
+    mean, var, kurt = ncx2.stats(k, np.dot(x0, x0) / t, moments="mvk")
+    ref = (t * mean, t * t * var, t ** 4 * (kurt + 3.0) * var * var)
+    assert sde.msq_moments(plan) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg, x0, t", [
+    # delta = beta + 1 at a pair wall and beta (nu + 1/2) + 1 at a coordinate
+    # wall: 5 here, so E|b|^4 is finite and Euler's excess is O(dt)
+    (RootSystemConfig(TYPE_A, 3, 4.0), (0.0, 0.5, 2.0), 0.5),
+    # delta = 4 at every wall
+    (RootSystemConfig(TYPE_B, 3, 3.0, nu=0.5), (0.5, 1.0, 2.0), 0.5),
+    # the ensemble benchmark's start: spacing 1, which t = 0.025 keeps far from a wall
+    (RootSystemConfig(TYPE_A, 7, 2.0), tuple(np.arange(7) - 3.0), 0.025),
+], ids=["A3_beta4", "B3_beta3_nu0.5", "A7_beta2"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_msq_mean_and_variance_match_the_squared_bessel_law(cfg, x0, t, seed):
+    # |X_t|^2 is BESQ(N + beta gamma) for both types, so its mean and
+    # variance are exact; signs with mean 0 and variance 1 keep both up to
+    # Euler's O(dt) excess
+    m = 32768
+    plan = SimPlan(cfg=cfg, dt=1e-3, t_final=t, n_paths=m, seed=seed, initial=x0)
+    fin, stats = simulate_paths(plan, return_stats=True)
+    mean, var, mu4 = sde.msq_moments(plan)
+    r2 = (fin ** 2).sum(axis=1)
+    assert abs(r2.mean() - mean) <= 4 * math.sqrt(var / m)
+    s2 = r2.var(ddof=1)
+    assert stats["msq_var_ratio"] == pytest.approx(s2 / var, rel=1e-12)
+    se = math.sqrt((mu4 - var * var * (m - 3) / (m - 1)) / m)
+    assert stats["msq_var_z"] == pytest.approx((s2 - var) / se, rel=1e-9, abs=1e-12)
+    assert abs(stats["msq_var_z"]) <= 4
+
+
+def test_a_single_path_has_no_variance_to_report():
+    plan = SimPlan(cfg=CFG_A2, dt=0.1, t_final=0.2, n_paths=1, seed=0, initial=(0.0, 1.0))
+    stats = simulate_paths(plan, return_stats=True)[1]
+    assert math.isnan(stats["msq_var_ratio"]) and math.isnan(stats["msq_var_z"])
+
+
+def test_type_a_n1_finals_lie_on_a_lattice():
+    # N = 1 has no drift, so each step adds +-sqrt(dt): after n steps the
+    # finals are x0 + sqrt(dt) (n - 2j), a lattice of spacing 2 sqrt(dt).
+    # sqrt(dt) = 1/8 here, so every sum is exact
+    dt, n, x0 = 2.0 ** -6, 20, 0.5
+    plan = SimPlan(cfg=RootSystemConfig(TYPE_A, 1, 2.0), dt=dt, t_final=n * dt, n_paths=4096,
+                   seed=3, initial=(x0,))
+    fin = simulate_paths(plan)
+    offsets = (fin[:, 0] - x0) / math.sqrt(dt)
+    assert set(offsets.tolist()) <= set(range(-n, n + 1, 2))
+    # bins half the lattice spacing wide: every other one is empty
+    h = scaled_histogram(fin, 1.0, x0 - 3.0 - 0.0625, x0 + 3.0 - 0.0625, math.sqrt(dt))
+    assert h.counts[1::2].sum() == 0 and h.counts[::2].sum() == fin.size
 
 
 def test_well_separated_start_keeps_uniform_schedule():
